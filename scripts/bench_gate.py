@@ -17,8 +17,10 @@ files:
     merge_comparisons additionally fails when exactly one side is zero
     (a merge path silently appearing or disappearing).
 
-The gate refuses to compare runs of different table sizes: a changed
-`rows` means the committed baseline is stale and must be re-recorded with
+The gate refuses to compare runs of different table sizes or from hosts
+with a different core count: a changed `rows` or `hardware_threads` means
+the committed baseline is stale (thread counts clamp to the hardware, so
+the same config runs a different path) and must be re-recorded with
 scripts/run_bench.sh.
 
 Usage: bench_gate.py --baseline BENCH_sfs.json --fresh fresh.json
@@ -74,6 +76,13 @@ def main():
               f"{baseline.get('rows')} vs fresh rows={fresh.get('rows')}; "
               f"re-record the baseline with scripts/run_bench.sh",
               file=sys.stderr)
+        return 2
+    if baseline.get("hardware_threads") != fresh.get("hardware_threads"):
+        print(f"bench_gate: host mismatch — baseline hardware_threads="
+              f"{baseline.get('hardware_threads')} vs fresh "
+              f"hardware_threads={fresh.get('hardware_threads')}; "
+              f"re-record the baseline with scripts/run_bench.sh on this "
+              f"host", file=sys.stderr)
         return 2
     if baseline.get("distribution") != fresh.get("distribution"):
         print(f"bench_gate: distribution mismatch — "

@@ -8,10 +8,10 @@
 #include <vector>
 
 #include "common/stopwatch.h"
-#include "core/canonical_key.h"
 #include "core/dominance_batch.h"
 #include "core/scoring.h"
 #include "index/block_index.h"
+#include "relation/canonical_key.h"
 
 namespace skyline {
 namespace {

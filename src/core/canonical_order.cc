@@ -4,7 +4,7 @@
 #include <cstring>
 #include <numeric>
 
-#include "core/canonical_key.h"
+#include "relation/canonical_key.h"
 
 namespace skyline {
 namespace {

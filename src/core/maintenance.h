@@ -18,7 +18,11 @@ namespace skyline {
 /// O(|skyline|) per insert. Deletes are the expensive direction the paper
 /// alludes to: removing a *skyline member* may promote formerly dominated
 /// tuples, which cannot be derived from the skyline alone; Remove()
-/// reports when a full recomputation over the base data is required.
+/// reports when the base data must be consulted again. Only the lost
+/// member's dominance region needs it: every promoted tuple was dominated
+/// by that member, so a caller recomputes the skyline of the rows inside
+/// that region, drops the members inside it (the region's skyline holds
+/// them again), and Insert()s the region's skyline.
 class SkylineMaintainer {
  public:
   enum class InsertResult {
@@ -36,7 +40,8 @@ class SkylineMaintainer {
     /// tuples never influence the skyline).
     kNotMember,
     /// A member was removed; the maintained set is now only a *subset* of
-    /// the true skyline — recompute from the base data to restore it.
+    /// the true skyline — recompute the removed member's dominance region
+    /// from the base data to restore it.
     kMemberRemovedRecomputeNeeded,
     /// A member was removed but an equivalent duplicate remains, so the
     /// skyline is still exact.

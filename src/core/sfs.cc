@@ -9,10 +9,10 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "core/canonical_key.h"
 #include "core/dominance_batch.h"
 #include "core/scoring.h"
 #include "core/sfs_parallel.h"
+#include "relation/canonical_key.h"
 #include "relation/column_store.h"
 
 namespace skyline {

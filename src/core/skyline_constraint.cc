@@ -1,6 +1,6 @@
 #include "core/skyline_constraint.h"
 
-#include "core/canonical_key.h"
+#include "relation/canonical_key.h"
 
 namespace skyline {
 

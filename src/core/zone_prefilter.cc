@@ -2,8 +2,8 @@
 
 #include <cstring>
 
-#include "core/canonical_key.h"
 #include "core/dominance_batch.h"
+#include "relation/canonical_key.h"
 
 namespace skyline {
 

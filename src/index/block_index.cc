@@ -1,8 +1,9 @@
 #include "index/block_index.h"
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
+
+#include "storage/sidecar_codec.h"
 
 namespace skyline {
 namespace {
@@ -12,49 +13,6 @@ constexpr uint32_t kVersion = 1;
 /// At most this many numeric columns contribute bits to the Morton key
 /// (64-bit code, at least one bit per participating column).
 constexpr size_t kMaxZOrderColumns = 64;
-
-uint64_t Fnv1a(const char* data, size_t size) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-template <typename T>
-void PutScalar(std::string* out, T v) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out->append(buf, sizeof(T));
-}
-
-template <typename T>
-bool GetScalar(const std::string& in, size_t* pos, T* out) {
-  if (*pos + sizeof(T) > in.size()) return false;
-  std::memcpy(out, in.data() + *pos, sizeof(T));
-  *pos += sizeof(T);
-  return true;
-}
-
-template <typename T>
-void PutVector(std::string* out, const std::vector<T>& v) {
-  if (!v.empty()) {
-    out->append(reinterpret_cast<const char*>(v.data()),
-                v.size() * sizeof(T));
-  }
-}
-
-template <typename T>
-bool GetVector(const std::string& in, size_t* pos, size_t count,
-               std::vector<T>* out) {
-  const size_t bytes = count * sizeof(T);
-  if (*pos + bytes > in.size()) return false;
-  out->resize(count);
-  if (bytes > 0) std::memcpy(out->data(), in.data() + *pos, bytes);
-  *pos += bytes;
-  return true;
-}
 
 Status CorruptIndexFile(const std::string& path, const std::string& what) {
   return Status::Corruption("block index " + path + ": " + what);
@@ -228,36 +186,13 @@ Status WriteBlockIndexFile(Env* env, const std::string& path,
     PutVector(&out, level.zmin);
     PutVector(&out, level.zmax);
   }
-  PutScalar(&out, Fnv1a(out.data(), out.size()));
-
-  std::unique_ptr<WritableFile> file;
-  SKYLINE_RETURN_IF_ERROR(env->NewWritableFile(path, &file));
-  SKYLINE_RETURN_IF_ERROR(file->Append(out.data(), out.size()));
-  return file->Close();
+  return WriteSealedFile(env, path, &out);
 }
 
 Result<BlockSkylineIndex> ReadBlockIndexFile(Env* env,
                                              const std::string& path) {
-  std::unique_ptr<RandomAccessFile> file;
-  SKYLINE_RETURN_IF_ERROR(env->NewRandomAccessFile(path, &file));
-  const uint64_t size = file->Size();
-  if (size < sizeof(kMagic) + sizeof(uint64_t)) {
-    return CorruptIndexFile(path, "too small");
-  }
-  file->Hint(RandomAccessFile::AccessPattern::kWillNeed, 0, size);
-  std::string raw(size, '\0');
-  SKYLINE_RETURN_IF_ERROR(file->Read(0, size, raw.data()));
-
-  uint64_t stored_checksum;
-  std::memcpy(&stored_checksum, raw.data() + size - sizeof(uint64_t),
-              sizeof(uint64_t));
-  if (Fnv1a(raw.data(), size - sizeof(uint64_t)) != stored_checksum) {
-    return CorruptIndexFile(path, "checksum mismatch");
-  }
-  if (std::memcmp(raw.data(), kMagic, sizeof(kMagic)) != 0) {
-    return CorruptIndexFile(path, "bad magic");
-  }
-
+  std::string raw;
+  SKYLINE_RETURN_IF_ERROR(ReadSealedFile(env, path, kMagic, "block index", &raw));
   size_t pos = sizeof(kMagic);
   uint32_t version, leaf_count, num_levels;
   BlockSkylineIndex index;

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 
-#include "common/order_key.h"
+#include "relation/canonical_key.h"
 
 namespace skyline {
 namespace {
@@ -13,29 +12,6 @@ namespace {
 /// Matches DominanceIndex::kBlockEntries; the SFS block prefilter aligns
 /// input blocks with these zones, so the granularities must agree.
 constexpr uint32_t kZoneBlockRows = 64;
-
-int64_t CanonicalKey(ColumnType type, const char* value_bytes) {
-  switch (type) {
-    case ColumnType::kInt32: {
-      int32_t v;
-      std::memcpy(&v, value_bytes, sizeof(v));
-      return v;
-    }
-    case ColumnType::kInt64: {
-      int64_t v;
-      std::memcpy(&v, value_bytes, sizeof(v));
-      return v;
-    }
-    case ColumnType::kFloat64: {
-      double v;
-      std::memcpy(&v, value_bytes, sizeof(v));
-      return Float64TotalOrderKey(v);
-    }
-    case ColumnType::kFixedString:
-      break;  // handled by the dictionary path
-  }
-  return 0;
-}
 
 ColumnFileKind KindFor(ColumnType type) {
   switch (type) {
@@ -89,11 +65,38 @@ std::shared_ptr<const BlockSkylineIndex> TryLoadBlockIndex(
   return index;
 }
 
-/// Scans the table once, producing canonical keys per column. When
-/// `keys_out` is non-null the full key columns are kept (column-file
-/// write); otherwise only zones and dictionaries survive.
+/// Calls `visit` on every row of `table` in file order: straight from
+/// `rows` (row_count dense rows in schema layout) when given, else through
+/// one heap-file scan, which must yield exactly row_count rows.
+template <typename Visit>
+Status ForEachRow(const Table& table, const char* rows, Visit&& visit) {
+  const uint64_t n = table.row_count();
+  if (rows != nullptr) {
+    const size_t width = table.schema().row_width();
+    for (uint64_t i = 0; i < n; ++i) visit(i, rows + i * width);
+    return Status::OK();
+  }
+  IoStats io;
+  auto reader = table.NewReader(&io);
+  SKYLINE_RETURN_IF_ERROR(reader->Open());
+  const Status mismatch = Status::Corruption(
+      "table scan of " + table.path() + " disagrees with its row count " +
+      std::to_string(n));
+  uint64_t i = 0;
+  while (const char* row = reader->Next()) {
+    if (i == n) return mismatch;
+    visit(i++, row);
+  }
+  SKYLINE_RETURN_IF_ERROR(reader->status());
+  return i == n ? Status::OK() : mismatch;
+}
+
+/// One pass over the table's rows (see ForEachRow), producing canonical
+/// keys per column. When `keys_out` is non-null the full key columns are
+/// kept (column-file write); otherwise only zones and dictionaries survive.
 Result<std::shared_ptr<TableColumnZones>> ScanTable(
-    const Table& table, std::vector<ColumnFileColumn>* keys_out) {
+    const Table& table, const char* rows,
+    std::vector<ColumnFileColumn>* keys_out) {
   const Schema& schema = table.schema();
   auto zones = std::make_shared<TableColumnZones>();
   zones->block_rows = kZoneBlockRows;
@@ -126,11 +129,8 @@ Result<std::shared_ptr<TableColumnZones>> ScanTable(
     }
   }
 
-  IoStats io;
-  auto reader = table.NewReader(&io);
-  SKYLINE_RETURN_IF_ERROR(reader->Open());
-  uint64_t i = 0;
-  while (const char* row = reader->Next()) {
+  SKYLINE_RETURN_IF_ERROR(ForEachRow(table, rows, [&](uint64_t i,
+                                                      const char* row) {
     const size_t b = static_cast<size_t>(i / kZoneBlockRows);
     for (size_t c = 0; c < schema.num_columns(); ++c) {
       auto& col = zones->columns[c];
@@ -139,7 +139,7 @@ Result<std::shared_ptr<TableColumnZones>> ScanTable(
       if (col.dict != nullptr) {
         key = col.dict->Encode(bytes);
       } else {
-        key = CanonicalKey(schema.column(c).type, bytes);
+        key = CanonicalKeyOf(schema.column(c).type, bytes);
       }
       if (key < col.zmin[b]) col.zmin[b] = key;
       if (key > col.zmax[b]) col.zmax[b] = key;
@@ -152,14 +152,7 @@ Result<std::shared_ptr<TableColumnZones>> ScanTable(
         }
       }
     }
-    ++i;
-  }
-  SKYLINE_RETURN_IF_ERROR(reader->status());
-  if (i != table.row_count()) {
-    return Status::Corruption("table scan returned " + std::to_string(i) +
-                              " rows, expected " +
-                              std::to_string(table.row_count()));
-  }
+  }));
   if (keys_out != nullptr) {
     for (size_t c = 0; c < schema.num_columns(); ++c) {
       auto& out = (*keys_out)[c];
@@ -173,6 +166,38 @@ Result<std::shared_ptr<TableColumnZones>> ScanTable(
   return zones;
 }
 
+/// Scans the rows once (see ForEachRow), persists the columnar image to
+/// ColumnFilePathFor(table.path()) and returns the zones of that scan.
+Result<std::shared_ptr<const TableColumnZones>> WriteColumnFileFromScan(
+    const Table& table, const char* rows) {
+  ColumnFileContents contents;
+  contents.block_rows = kZoneBlockRows;
+  contents.row_count = table.row_count();
+  SKYLINE_ASSIGN_OR_RETURN(std::shared_ptr<TableColumnZones> zones,
+                           ScanTable(table, rows, &contents.columns));
+  SKYLINE_RETURN_IF_ERROR(WriteColumnFile(
+      table.env(), ColumnFilePathFor(table.path()), std::move(contents)));
+  return std::shared_ptr<const TableColumnZones>(std::move(zones));
+}
+
+/// Bulk-loads the z-order block index from `zones` and persists it to
+/// BlockIndexPathFor(table.path()).
+Status WriteBlockIndexFromZones(const Table& table,
+                                const TableColumnZones& zones) {
+  const Schema& schema = table.schema();
+  std::vector<BlockIndexColumnZones> columns(zones.columns.size());
+  for (size_t c = 0; c < zones.columns.size(); ++c) {
+    columns[c].zmin = &zones.columns[c].zmin;
+    columns[c].zmax = &zones.columns[c].zmax;
+    columns[c].numeric = schema.column(c).type != ColumnType::kFixedString;
+  }
+  SKYLINE_ASSIGN_OR_RETURN(
+      BlockSkylineIndex index,
+      BuildBlockIndex(zones.block_rows, zones.row_count, columns));
+  return WriteBlockIndexFile(table.env(), BlockIndexPathFor(table.path()),
+                             index);
+}
+
 }  // namespace
 
 std::string ColumnFilePathFor(const std::string& table_path) {
@@ -182,42 +207,25 @@ std::string ColumnFilePathFor(const std::string& table_path) {
 Result<std::shared_ptr<const TableColumnZones>> BuildTableColumnZones(
     const Table& table) {
   SKYLINE_ASSIGN_OR_RETURN(std::shared_ptr<TableColumnZones> zones,
-                           ScanTable(table, nullptr));
+                           ScanTable(table, nullptr, nullptr));
   return std::shared_ptr<const TableColumnZones>(std::move(zones));
 }
 
+Status WriteTableSidecars(const Table& table, const char* rows) {
+  SKYLINE_ASSIGN_OR_RETURN(
+      std::shared_ptr<const TableColumnZones> zones,
+      WriteColumnFileFromScan(table, rows));
+  return WriteBlockIndexFromZones(table, *zones);
+}
+
 Status WriteTableColumnFile(const Table& table) {
-  ColumnFileContents contents;
-  contents.block_rows = kZoneBlockRows;
-  contents.row_count = table.row_count();
-  SKYLINE_ASSIGN_OR_RETURN(std::shared_ptr<TableColumnZones> zones,
-                           ScanTable(table, &contents.columns));
-  (void)zones;
-  return WriteColumnFile(table.env(), ColumnFilePathFor(table.path()),
-                         std::move(contents));
+  return WriteColumnFileFromScan(table, nullptr).status();
 }
 
 Status WriteTableBlockIndex(const Table& table) {
-  std::shared_ptr<const TableColumnZones> zones;
-  if (table.env()->FileExists(ColumnFilePathFor(table.path()))) {
-    auto loaded = LoadTableColumnZones(table);
-    if (loaded.ok()) zones = std::move(loaded).value();
-  }
-  if (zones == nullptr) {
-    SKYLINE_ASSIGN_OR_RETURN(zones, BuildTableColumnZones(table));
-  }
-  const Schema& schema = table.schema();
-  std::vector<BlockIndexColumnZones> columns(zones->columns.size());
-  for (size_t c = 0; c < zones->columns.size(); ++c) {
-    columns[c].zmin = &zones->columns[c].zmin;
-    columns[c].zmax = &zones->columns[c].zmax;
-    columns[c].numeric = schema.column(c).type != ColumnType::kFixedString;
-  }
-  SKYLINE_ASSIGN_OR_RETURN(
-      BlockSkylineIndex index,
-      BuildBlockIndex(zones->block_rows, zones->row_count, columns));
-  return WriteBlockIndexFile(table.env(), BlockIndexPathFor(table.path()),
-                             index);
+  SKYLINE_ASSIGN_OR_RETURN(std::shared_ptr<const TableColumnZones> zones,
+                           BuildTableColumnZones(table));
+  return WriteBlockIndexFromZones(table, *zones);
 }
 
 Result<Table> ClusterTableZOrder(const Table& input,
@@ -251,7 +259,7 @@ Result<Table> ClusterTableZOrder(const Table& input,
       const size_t offset = schema.offset(c);
       keys[i].resize(n);
       for (size_t r = 0; r < n; ++r) {
-        keys[i][r] = CanonicalKey(type, rows.data() + r * width + offset);
+        keys[i][r] = CanonicalKeyOf(type, rows.data() + r * width + offset);
       }
       gmin[i] = *std::min_element(keys[i].begin(), keys[i].end());
       gmax[i] = *std::max_element(keys[i].begin(), keys[i].end());

@@ -48,8 +48,18 @@ std::string ColumnFilePathFor(const std::string& table_path);
 Result<std::shared_ptr<const TableColumnZones>> BuildTableColumnZones(
     const Table& table);
 
-/// Persists the table's full columnar image (keys, zone maps,
-/// dictionaries) to ColumnFilePathFor(table.path()) in the table's Env.
+/// Writes both sidecars of `table` from one pass over its rows: the
+/// column file (keys, zone maps, dictionaries) at
+/// ColumnFilePathFor(table.path()), then the z-order block index at
+/// BlockIndexPathFor(table.path()), bulk-loaded from the zone maps that
+/// same pass built — nothing is re-read from disk. `rows`, when non-null,
+/// holds the table's row_count rows densely in schema layout and in file
+/// order (a writer that just built the table from memory passes that
+/// buffer); when null the heap file is scanned instead. The bytes written
+/// are the same either way.
+Status WriteTableSidecars(const Table& table, const char* rows);
+
+/// Column-file half of WriteTableSidecars, scanning the heap file.
 Status WriteTableColumnFile(const Table& table);
 
 /// Loads zones from an existing column file, validating it against the
@@ -57,9 +67,7 @@ Status WriteTableColumnFile(const Table& table);
 Result<std::shared_ptr<const TableColumnZones>> LoadTableColumnZones(
     const Table& table);
 
-/// Bulk-loads the z-order block index from the table's zone maps
-/// (persisted column file preferred, else one scan) and persists it to
-/// BlockIndexPathFor(table.path()) in the table's Env.
+/// Block-index half of WriteTableSidecars, scanning the heap file.
 Status WriteTableBlockIndex(const Table& table);
 
 /// Rewrites `input`'s rows at `output_path` in z-order (Morton) of their

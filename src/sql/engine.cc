@@ -1,12 +1,15 @@
 #include "sql/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "core/canonical_order.h"
 #include "core/compute_skyline.h"
 #include "core/maintenance.h"
+#include "relation/canonical_key.h"
 #include "relation/column_store.h"
 #include "relation/csv.h"
 #include "sql/binder.h"
@@ -61,23 +64,116 @@ void AdoptMaintainerRows(const SkylineMaintainer& maintainer,
   SortSkylineRowsCanonical(*entry->spec, &entry->rows);
 }
 
+/// The box of canonical keys holding every row that one of the `lost`
+/// members dominated or duplicated, intersected with the entry's own box
+/// `base`: per MAX criterion at most the lost members' largest key, per
+/// MIN criterion at least their smallest, per numeric DIFF column within
+/// their [min, max] (string DIFF columns stay unbounded). Any row outside
+/// it was dominated by a member that is still there.
+SkylineConstraint LostDominanceBox(const SkylineSpec& spec,
+                                   const SkylineConstraint& base,
+                                   const std::vector<const char*>& lost) {
+  const Schema& schema = spec.schema();
+  SkylineConstraint box = base;
+  auto narrow = [&](size_t column, bool bound_lo, bool bound_hi) {
+    const ColumnType type = schema.column(column).type;
+    int64_t lo = std::numeric_limits<int64_t>::max();
+    int64_t hi = std::numeric_limits<int64_t>::min();
+    for (const char* row : lost) {
+      const int64_t key = CanonicalKeyOf(type, row + schema.offset(column));
+      lo = std::min(lo, key);
+      hi = std::max(hi, key);
+    }
+    auto it = std::find_if(box.bounds.begin(), box.bounds.end(),
+                           [column](const SkylineConstraint::Bound& b) {
+                             return b.column == column;
+                           });
+    if (it == box.bounds.end()) {
+      it = box.bounds.insert(box.bounds.end(), {column, INT64_MIN, INT64_MAX});
+    }
+    if (bound_lo) it->lo = std::max(it->lo, lo);
+    if (bound_hi) it->hi = std::min(it->hi, hi);
+  };
+  for (const auto& value : spec.value_columns()) {
+    narrow(value.column, /*bound_lo=*/!value.max, /*bound_hi=*/value.max);
+  }
+  for (size_t column : spec.diff_columns()) {
+    if (schema.column(column).type == ColumnType::kFixedString) continue;
+    narrow(column, /*bound_lo=*/true, /*bound_hi=*/true);
+  }
+  return box;
+}
+
 }  // namespace
 
 Engine::Engine(const Options& options) : options_(options) {}
 
 std::string Engine::VersionedPath(const std::string& name,
                                   uint64_t version) const {
-  return options_.data_prefix + "/" + name + ".v" + std::to_string(version);
+  // A superseded version still held by a snapshot (of an earlier binding
+  // of the name) keeps its path until released: never write over it.
+  const std::string base =
+      options_.data_prefix + "/" + name + ".v" + std::to_string(version);
+  std::string path = base;
+  for (int k = 1; options_.env->FileExists(path); ++k) {
+    path = base + "-" + std::to_string(k);
+  }
+  return path;
+}
+
+Engine::TableState Engine::OwnedState(Table table, uint64_t version) {
+  TableState state;
+  state.version = version;
+  state.superseded = std::make_shared<std::atomic<bool>>(false);
+  // Once superseded, the last reference to drop deletes the sidecars and
+  // then the heap file — heap file last, because VersionedPath probes the
+  // heap file's existence.
+  state.table = std::shared_ptr<const Table>(
+      new Table(std::move(table)),
+      [superseded = state.superseded](const Table* t) {
+        if (superseded->load(std::memory_order_acquire)) {
+          Env* env = t->env();
+          (void)env->DeleteFile(ColumnFilePathFor(t->path()));
+          (void)env->DeleteFile(BlockIndexPathFor(t->path()));
+          (void)env->DeleteFile(t->path());
+        }
+        delete t;
+      });
+  return state;
 }
 
 Status Engine::CreateTable(const std::string& name, Table table) {
   if (options_.write_sidecars) {
-    SKYLINE_RETURN_IF_ERROR(WriteTableColumnFile(table));
-    SKYLINE_RETURN_IF_ERROR(WriteTableBlockIndex(table));
+    SKYLINE_RETURN_IF_ERROR(WriteTableSidecars(table, nullptr));
   }
-  auto shared = std::make_shared<const Table>(std::move(table));
+  TableState state;
+  state.table = std::make_shared<const Table>(std::move(table));
+  Bind(name, std::move(state));
+  return Status::OK();
+}
+
+Status Engine::CreateTableFromCsv(const std::string& name,
+                                  const std::string& csv_text) {
+  SKYLINE_ASSIGN_OR_RETURN(
+      Table table, CsvToTable(options_.env, VersionedPath(name, 1), csv_text));
+  if (options_.write_sidecars) {
+    SKYLINE_RETURN_IF_ERROR(WriteTableSidecars(table, nullptr));
+  }
+  Bind(name, OwnedState(std::move(table), 1));
+  return Status::OK();
+}
+
+Engine::TableState Engine::SwapBindingLocked(const std::string& name,
+                                             TableState state) {
+  TableState& slot = tables_[name];
+  if (slot.superseded != nullptr) slot.superseded->store(true);
+  return std::exchange(slot, std::move(state));
+}
+
+void Engine::Bind(const std::string& name, TableState state) {
+  TableState replaced;  // dropped after the lock: may delete its files
   std::lock_guard<std::mutex> lock(mu_);
-  tables_[name] = TableState{std::move(shared), 1};
+  replaced = SwapBindingLocked(name, std::move(state));
   // Any cached results of a previous binding under this name are dead.
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (it->second->table == name) {
@@ -88,14 +184,6 @@ Status Engine::CreateTable(const std::string& name, Table table) {
       ++it;
     }
   }
-  return Status::OK();
-}
-
-Status Engine::CreateTableFromCsv(const std::string& name,
-                                  const std::string& csv_text) {
-  SKYLINE_ASSIGN_OR_RETURN(
-      Table table, CsvToTable(options_.env, VersionedPath(name, 1), csv_text));
-  return CreateTable(name, std::move(table));
 }
 
 Result<Engine::TableSnapshot> Engine::Snapshot(const std::string& name) const {
@@ -188,7 +276,7 @@ Result<std::shared_ptr<const Engine::CachedSkyline>> Engine::QuerySkyline(
   return entry;
 }
 
-Result<std::shared_ptr<const Table>> Engine::RewriteTable(
+Result<Engine::TableState> Engine::RewriteTable(
     const std::string& name, uint64_t version, const Schema& schema,
     const std::vector<char>& keep) {
   TableBuilder builder(options_.env, VersionedPath(name, version), schema);
@@ -200,10 +288,10 @@ Result<std::shared_ptr<const Table>> Engine::RewriteTable(
   }
   SKYLINE_ASSIGN_OR_RETURN(Table table, builder.Finish());
   if (options_.write_sidecars) {
-    SKYLINE_RETURN_IF_ERROR(WriteTableColumnFile(table));
-    SKYLINE_RETURN_IF_ERROR(WriteTableBlockIndex(table));
+    // The rows are still in memory: build both sidecars from them.
+    SKYLINE_RETURN_IF_ERROR(WriteTableSidecars(table, keep.data()));
   }
-  return std::make_shared<const Table>(std::move(table));
+  return OwnedState(std::move(table), version);
 }
 
 std::vector<Engine::CacheEntry> Engine::EntriesForTable(
@@ -219,8 +307,9 @@ std::vector<Engine::CacheEntry> Engine::EntriesForTable(
 void Engine::PublishMutation(const std::string& name, TableState state,
                              std::vector<CacheEntry> carried,
                              MutationStats* stats) {
+  TableState replaced;  // dropped after the lock: may delete its files
   std::lock_guard<std::mutex> lock(mu_);
-  tables_[name] = std::move(state);
+  replaced = SwapBindingLocked(name, std::move(state));
   size_t removed = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (it->second->table == name) {
@@ -283,7 +372,7 @@ Result<Engine::MutationStats> Engine::InsertRows(const std::string& name,
   SKYLINE_RETURN_IF_ERROR(snapshot.table->ReadAllRows(&all));
   all.insert(all.end(), rows.begin(), rows.end());
   const uint64_t new_version = snapshot.version + 1;
-  SKYLINE_ASSIGN_OR_RETURN(std::shared_ptr<const Table> new_table,
+  SKYLINE_ASSIGN_OR_RETURN(TableState new_state,
                            RewriteTable(name, new_version, schema, all));
 
   // Inserts never force a recompute: each cached skyline absorbs the new
@@ -310,8 +399,7 @@ Result<Engine::MutationStats> Engine::InsertRows(const std::string& name,
   }
 
   stats.version = new_version;
-  PublishMutation(name, TableState{std::move(new_table), new_version},
-                  std::move(carried), &stats);
+  PublishMutation(name, std::move(new_state), std::move(carried), &stats);
   return stats;
 }
 
@@ -347,56 +435,83 @@ Result<Engine::MutationStats> Engine::DeleteWhere(
     return stats;
   }
   const uint64_t new_version = snapshot.version + 1;
-  SKYLINE_ASSIGN_OR_RETURN(std::shared_ptr<const Table> new_table,
+  SKYLINE_ASSIGN_OR_RETURN(TableState new_state,
                            RewriteTable(name, new_version, schema, keep));
 
   // Deleting a dominated row never changes a skyline; deleting a member
   // with a surviving duplicate keeps it exact. Deleting the last copy of a
-  // member is the recompute-needed direction the paper warns about: the
-  // maintained set no longer tells us which dominated rows resurface.
+  // member ("lost" member) is the direction the paper warns about: rows
+  // only it dominated may resurface. Those rows lie in its dominance
+  // region, so the repair recomputes just the box around the lost members.
   std::vector<CacheEntry> carried;
   for (const CacheEntry& old_entry : EntriesForTable(name)) {
     if (old_entry->version != snapshot.version) continue;
     auto patched = std::make_shared<CachedSkyline>(*old_entry);
     SkylineMaintainer maintainer = SkylineMaintainer::FromComputedSkyline(
         patched->spec.get(), patched->rows.data(), patched->count);
-    bool needs_recompute = false;
+    std::vector<const char*> lost;
     for (size_t i = 0; i < stats.rows_affected; ++i) {
       const char* row = deleted.data() + i * width;
       if (!patched->constraint.empty() &&
           !patched->constraint.Matches(schema, row)) {
         continue;
       }
-      const auto result = maintainer.Remove(row);
-      if (result ==
+      if (maintainer.Remove(row) ==
           SkylineMaintainer::RemoveResult::kMemberRemovedRecomputeNeeded) {
-        needs_recompute = true;
-        break;
+        lost.push_back(row);
       }
     }
-    if (!needs_recompute) {
-      AdoptMaintainerRows(maintainer, patched.get());
-      patched->version = new_version;
-      carried.push_back(std::move(patched));
+    if (!lost.empty()) {
+      if (!options_.repair_deletes) continue;  // lazy: drop the entry
+      Status repaired = RepairLostMembers(name, *new_state.table, new_version,
+                                          *patched, lost, ctx, &maintainer);
+      if (!repaired.ok()) {
+        if (repaired.IsCancelled()) return repaired;
+        continue;  // repair failed: fall back to invalidation
+      }
+      ++stats.entries_repaired;
+    } else {
       ++stats.entries_patched;
-      continue;
     }
-    if (!options_.repair_deletes) continue;  // lazy: drop the entry
-    Result<CacheEntry> repaired = ComputeEntry(
-        name, *new_table, new_version, SkylineSpec(*old_entry->spec),
-        old_entry->constraint, options_.repair_algorithm, SfsOptions{}, ctx);
-    if (!repaired.ok()) {
-      if (repaired.status().IsCancelled()) return repaired.status();
-      continue;  // repair failed: fall back to invalidation
-    }
-    carried.push_back(std::move(repaired).value());
-    ++stats.entries_repaired;
+    AdoptMaintainerRows(maintainer, patched.get());
+    patched->version = new_version;
+    carried.push_back(std::move(patched));
   }
 
   stats.version = new_version;
-  PublishMutation(name, TableState{std::move(new_table), new_version},
-                  std::move(carried), &stats);
+  PublishMutation(name, std::move(new_state), std::move(carried), &stats);
   return stats;
+}
+
+Status Engine::RepairLostMembers(const std::string& name, const Table& table,
+                                 uint64_t version, const CachedSkyline& entry,
+                                 const std::vector<const char*>& lost,
+                                 const ExecContext& ctx,
+                                 SkylineMaintainer* maintainer) {
+  const SkylineSpec& spec = *entry.spec;
+  const SkylineConstraint box =
+      LostDominanceBox(spec, entry.constraint, lost);
+  SKYLINE_ASSIGN_OR_RETURN(
+      CacheEntry region,
+      ComputeEntry(name, table, version, SkylineSpec(spec), box,
+                   options_.repair_algorithm, SfsOptions{}, ctx));
+  // Surviving members inside the box are undominated there too, so the
+  // region's skyline already holds them: keep only the members outside,
+  // then offer the region's skyline.
+  const Schema& schema = spec.schema();
+  const size_t width = schema.row_width();
+  std::vector<char> outside;
+  for (size_t i = 0; i < maintainer->size(); ++i) {
+    const char* member = maintainer->MemberAt(i);
+    if (!box.Matches(schema, member)) {
+      outside.insert(outside.end(), member, member + width);
+    }
+  }
+  maintainer->Seed(outside.data(), outside.size() / width);
+  for (size_t i = 0; i < region->count; ++i) {
+    maintainer->Insert(region->rows.data() + i * width);
+  }
+  return Status::OK();
 }
 
 Engine::CacheCounters Engine::cache_counters() const {

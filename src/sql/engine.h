@@ -1,6 +1,7 @@
 #ifndef SKYLINE_SQL_ENGINE_H_
 #define SKYLINE_SQL_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -19,20 +20,26 @@
 
 namespace skyline {
 
+class SkylineMaintainer;
+
 /// Process-wide query engine: owns the storage env binding, the table
 /// registry (name → versioned immutable Table), and the skyline result
 /// cache, and runs the incremental-maintenance write path. One Engine per
 /// process/server; per-connection state lives in Session.
 ///
 /// Versioning model: tables are immutable. A mutation rewrites the heap
-/// file to a new versioned path, swaps the registry's shared_ptr, and
-/// bumps the table version; in-flight readers keep their snapshot (the old
-/// file is retained). Cache entries are keyed by
+/// file to a new versioned path (sidecars built from the rows already in
+/// memory), swaps the registry's shared_ptr, and bumps the table version;
+/// in-flight readers keep their snapshot. A superseded version the engine
+/// wrote itself (a rewrite, or a CSV load) is reclaimed — heap file and
+/// sidecars deleted — when its last snapshot drops; a table handed to
+/// CreateTable is never deleted, nor is the current version when the
+/// Engine is destroyed. Cache entries are keyed by
 /// (table, version, spec, constraint), so a stale entry can never be
 /// served — on mutation, entries are either patched forward to the new
-/// version (`SkylineMaintainer::Insert`, cheap), repaired by recomputation
-/// (a deleted skyline member — the paper's expensive direction), or
-/// invalidated.
+/// version (`SkylineMaintainer::Insert`, cheap), repaired by recomputing
+/// the dominance region of the deleted skyline members (the paper's
+/// expensive direction), or invalidated.
 ///
 /// Cached skylines are stored and served in *canonical order*
 /// (core/canonical_order.h), not presort order: entropy presorting depends
@@ -49,9 +56,9 @@ class Engine {
     /// Result cache capacity in entries (LRU beyond that). 0 disables.
     size_t result_cache_capacity = 64;
     /// On deletion of a cached skyline member with no surviving duplicate:
-    /// true recomputes the entry from the new table version inline
-    /// (repair); false drops it (lazy invalidation — the next query
-    /// refills).
+    /// true repairs the entry inline from the new table version,
+    /// recomputing only the region the deleted members dominated; false
+    /// drops it (lazy invalidation — the next query refills).
     bool repair_deletes = true;
     /// Write the column-file and block-index sidecars after table loads
     /// and mutations, keeping the index path warm across versions.
@@ -114,10 +121,10 @@ class Engine {
 
   /// Adopts `table` under `name` at version 1, replacing any existing
   /// binding (and invalidating its cache entries). The table must live in
-  /// this engine's env.
+  /// this engine's env; its files stay the caller's and are never deleted.
   Status CreateTable(const std::string& name, Table table);
 
-  /// Parses CSV text into a table registered under `name`.
+  /// Parses CSV text into an engine-owned table registered under `name`.
   Status CreateTableFromCsv(const std::string& name,
                             const std::string& csv_text);
 
@@ -147,9 +154,10 @@ class Engine {
 
   /// Deletes the rows matching every predicate (all rows when empty),
   /// rewriting to the next version. Cache entries lose deleted members via
-  /// SkylineMaintainer::Remove; a member removal with no surviving
-  /// duplicate is the recompute-needed case — repaired inline or
-  /// invalidated per Options::repair_deletes.
+  /// SkylineMaintainer::Remove; member removals with no surviving
+  /// duplicate are the recompute-needed case — repaired inline (one
+  /// recompute over the box the lost members dominated) or invalidated
+  /// per Options::repair_deletes.
   Result<MutationStats> DeleteWhere(const std::string& name,
                                     const std::vector<SqlPredicate>& predicates,
                                     const ExecContext& ctx);
@@ -161,12 +169,31 @@ class Engine {
   struct TableState {
     std::shared_ptr<const Table> table;
     uint64_t version = 1;
+    /// Engine-written versions only (null for a caller's table): set when
+    /// a newer version replaces this one, which arms the deletion of its
+    /// files once the last snapshot drops.
+    std::shared_ptr<std::atomic<bool>> superseded;
   };
 
   using CacheEntry = std::shared_ptr<const CachedSkyline>;
   using LruList = std::list<std::pair<std::string, CacheEntry>>;
 
+  /// data_prefix/<name>.v<version>, suffixed when a file of an earlier
+  /// binding still holds that path.
   std::string VersionedPath(const std::string& name, uint64_t version) const;
+
+  /// Wraps an engine-written table so its files are reclaimed once it is
+  /// superseded and unreferenced.
+  static TableState OwnedState(Table table, uint64_t version);
+
+  /// Installs `state` as `name`'s binding, superseding the previous one and
+  /// dropping its cache entries (locked).
+  void Bind(const std::string& name, TableState state);
+
+  /// Replaces `name`'s binding with `state` and arms the reclamation of the
+  /// replaced version, which is returned so the caller can drop it after
+  /// releasing mu_. Caller holds mu_.
+  TableState SwapBindingLocked(const std::string& name, TableState state);
 
   /// Computes the constrained skyline of `table` into a fresh entry
   /// (canonical order). `algorithm`/`sfs` pick the compute path.
@@ -178,11 +205,21 @@ class Engine {
                                   const SfsOptions& sfs,
                                   const ExecContext& ctx);
 
-  /// Rewrites `name` to `version` with `keep` row bytes and publishes the
-  /// new Table; sidecars per options. Caller holds write_mu_.
-  Result<std::shared_ptr<const Table>> RewriteTable(
-      const std::string& name, uint64_t version, const Schema& schema,
-      const std::vector<char>& keep);
+  /// Writes `name`'s `version` from the dense `keep` row bytes, plus its
+  /// sidecars (per options) from the same buffer. Caller holds write_mu_.
+  Result<TableState> RewriteTable(const std::string& name, uint64_t version,
+                                  const Schema& schema,
+                                  const std::vector<char>& keep);
+
+  /// Restores `entry`'s skyline at `table` (`version`) after `lost`
+  /// members — deleted, no surviving duplicate — left `maintainer`: one
+  /// compute over the entry's box narrowed to the lost members' dominance
+  /// region, merged into the remaining members.
+  Status RepairLostMembers(const std::string& name, const Table& table,
+                           uint64_t version, const CachedSkyline& entry,
+                           const std::vector<const char*>& lost,
+                           const ExecContext& ctx,
+                           SkylineMaintainer* maintainer);
 
   /// Collects this table's cache entries (locked).
   std::vector<CacheEntry> EntriesForTable(const std::string& name) const;

@@ -1,56 +1,14 @@
 #include "storage/column_file.h"
 
-#include <cstring>
 #include <limits>
+
+#include "storage/sidecar_codec.h"
 
 namespace skyline {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'K', 'Y', 'C', 'O', 'L', 'F', '1'};
 constexpr uint32_t kVersion = 1;
-
-uint64_t Fnv1a(const char* data, size_t size) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-template <typename T>
-void PutScalar(std::string* out, T v) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out->append(buf, sizeof(T));
-}
-
-template <typename T>
-bool GetScalar(const std::string& in, size_t* pos, T* out) {
-  if (*pos + sizeof(T) > in.size()) return false;
-  std::memcpy(out, in.data() + *pos, sizeof(T));
-  *pos += sizeof(T);
-  return true;
-}
-
-template <typename T>
-void PutVector(std::string* out, const std::vector<T>& v) {
-  if (!v.empty()) {
-    out->append(reinterpret_cast<const char*>(v.data()),
-                v.size() * sizeof(T));
-  }
-}
-
-template <typename T>
-bool GetVector(const std::string& in, size_t* pos, size_t count,
-               std::vector<T>* out) {
-  const size_t bytes = count * sizeof(T);
-  if (*pos + bytes > in.size()) return false;
-  out->resize(count);
-  if (bytes > 0) std::memcpy(out->data(), in.data() + *pos, bytes);
-  *pos += bytes;
-  return true;
-}
 
 void ComputeZoneMaps(ColumnFileColumn* col, uint64_t row_count,
                      uint32_t block_rows, size_t blocks) {
@@ -120,35 +78,12 @@ Status WriteColumnFile(Env* env, const std::string& path,
       PutVector(&out, col.data32);
     }
   }
-  PutScalar(&out, Fnv1a(out.data(), out.size()));
-
-  std::unique_ptr<WritableFile> file;
-  SKYLINE_RETURN_IF_ERROR(env->NewWritableFile(path, &file));
-  SKYLINE_RETURN_IF_ERROR(file->Append(out.data(), out.size()));
-  return file->Close();
+  return WriteSealedFile(env, path, &out);
 }
 
 Result<ColumnFileContents> ReadColumnFile(Env* env, const std::string& path) {
-  std::unique_ptr<RandomAccessFile> file;
-  SKYLINE_RETURN_IF_ERROR(env->NewRandomAccessFile(path, &file));
-  const uint64_t size = file->Size();
-  if (size < sizeof(kMagic) + sizeof(uint64_t)) {
-    return CorruptColumnFile(path, "too small");
-  }
-  file->Hint(RandomAccessFile::AccessPattern::kWillNeed, 0, size);
-  std::string raw(size, '\0');
-  SKYLINE_RETURN_IF_ERROR(file->Read(0, size, raw.data()));
-
-  uint64_t stored_checksum;
-  std::memcpy(&stored_checksum, raw.data() + size - sizeof(uint64_t),
-              sizeof(uint64_t));
-  if (Fnv1a(raw.data(), size - sizeof(uint64_t)) != stored_checksum) {
-    return CorruptColumnFile(path, "checksum mismatch");
-  }
-  if (std::memcmp(raw.data(), kMagic, sizeof(kMagic)) != 0) {
-    return CorruptColumnFile(path, "bad magic");
-  }
-
+  std::string raw;
+  SKYLINE_RETURN_IF_ERROR(ReadSealedFile(env, path, kMagic, "column file", &raw));
   size_t pos = sizeof(kMagic);
   uint32_t version;
   ColumnFileContents contents;

@@ -1,10 +1,12 @@
 #include "storage/column_file.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/run_report.h"
 #include "core/sfs.h"
 #include "gtest/gtest.h"
@@ -138,6 +140,78 @@ TEST(ColumnFile, TableSidecarMatchesScanAndValidatesShape) {
   WriteWholeFile(env.get(), ColumnFilePathFor("t2"),
                  ReadWholeFile(env.get(), ColumnFilePathFor("t")));
   EXPECT_TRUE(LoadTableColumnZones(regrown).status().IsCorruption());
+}
+
+/// A seeded table over every column type: 5000 rows (not a multiple of
+/// the 64-row zone block), a float column with -0.0 and negatives, and a
+/// string column whose 300 distinct values repeat in scrambled order.
+Result<Table> MakeMixedTypeTable(Env* env, const std::string& path,
+                                 uint64_t rows, uint64_t seed) {
+  SKYLINE_ASSIGN_OR_RETURN(
+      Schema schema,
+      Schema::Make({ColumnDef::Int32("i32"), ColumnDef::Int64("i64"),
+                    ColumnDef::Float64("f64"),
+                    ColumnDef::FixedString("s", 12)}));
+  TableBuilder builder(env, path, schema);
+  SKYLINE_RETURN_IF_ERROR(builder.Open());
+  Random rng(seed);
+  std::vector<char> row(schema.row_width());
+  for (uint64_t r = 0; r < rows; ++r) {
+    const int32_t i32 = rng.UniformInt32(-1000, 1000);
+    const int64_t i64 = static_cast<int64_t>(rng.Next());
+    const double f64 = r % 97 == 0 ? -0.0 : rng.Gaussian() * 1e6;
+    char s[12] = {};
+    std::snprintf(s, sizeof(s), "k%llu",
+                  static_cast<unsigned long long>(rng.Uniform(300)));
+    std::memcpy(row.data() + schema.offset(0), &i32, sizeof(i32));
+    std::memcpy(row.data() + schema.offset(1), &i64, sizeof(i64));
+    std::memcpy(row.data() + schema.offset(2), &f64, sizeof(f64));
+    std::memcpy(row.data() + schema.offset(3), s, sizeof(s));
+    SKYLINE_RETURN_IF_ERROR(builder.AppendRaw(row.data()));
+  }
+  return builder.Finish();
+}
+
+uint64_t BytesHash(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// The one-pass writer must produce exactly the bytes of the separate
+// column-file and block-index writers, whether it reads the rows from
+// memory or from the heap file. The hashes pin the on-disk format: they
+// were recorded from the two-pass writers that predate the one-pass one.
+TEST(ColumnFile, OnePassSidecarsAreByteIdentical) {
+  constexpr uint64_t kColsHash = 0xc9e280ea86d7954aULL;
+  constexpr uint64_t kZidxHash = 0x7d6821883fce6850ULL;
+  auto env = NewMemEnv();
+  ASSERT_OK_AND_ASSIGN(Table t, MakeMixedTypeTable(env.get(), "m", 5000, 17));
+  std::vector<char> rows;
+  ASSERT_OK(t.ReadAllRows(&rows));
+
+  ASSERT_OK(WriteTableColumnFile(t));
+  ASSERT_OK(WriteTableBlockIndex(t));
+  const std::string cols = ReadWholeFile(env.get(), ColumnFilePathFor("m"));
+  const std::string zidx = ReadWholeFile(env.get(), BlockIndexPathFor("m"));
+  EXPECT_EQ(cols.size(), 128728u);
+  EXPECT_EQ(zidx.size(), 688u);
+  EXPECT_EQ(BytesHash(cols), kColsHash);
+  EXPECT_EQ(BytesHash(zidx), kZidxHash);
+
+  const char* const sources[] = {nullptr, rows.data()};
+  for (const char* source : sources) {
+    ASSERT_OK(env->DeleteFile(ColumnFilePathFor("m")));
+    ASSERT_OK(env->DeleteFile(BlockIndexPathFor("m")));
+    ASSERT_OK(WriteTableSidecars(t, source));
+    EXPECT_EQ(ReadWholeFile(env.get(), ColumnFilePathFor("m")), cols)
+        << (source == nullptr ? "scan" : "memory");
+    EXPECT_EQ(ReadWholeFile(env.get(), BlockIndexPathFor("m")), zidx)
+        << (source == nullptr ? "scan" : "memory");
+  }
 }
 
 TEST(ColumnFile, SidecarRoundTripsStringDictionaries) {

@@ -1,6 +1,9 @@
 #include "sql/engine.h"
 
 #include <atomic>
+#include <cstdio>
+#include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -9,6 +12,8 @@
 #include "core/canonical_order.h"
 #include "core/compute_skyline.h"
 #include "gtest/gtest.h"
+#include "relation/column_store.h"
+#include "relation/csv.h"
 #include "test_util.h"
 
 namespace skyline {
@@ -60,17 +65,21 @@ class EngineSessionTest : public ::testing::Test {
   /// Cold reference: recomputes the skyline of the table's *current*
   /// version from scratch (no cache) and returns it in canonical order —
   /// what every cached or patched response must match byte for byte.
-  Result<std::string> ColdSkyline(const std::string& table,
-                                  const std::vector<Criterion>& criteria) {
+  Result<std::string> ColdSkyline(
+      const std::string& table, const std::vector<Criterion>& criteria,
+      const SkylineConstraint& constraint = SkylineConstraint()) {
     SKYLINE_ASSIGN_OR_RETURN(Engine::TableSnapshot snapshot,
                              engine_->Snapshot(table));
     SKYLINE_ASSIGN_OR_RETURN(
         SkylineSpec spec,
         SkylineSpec::Make(snapshot.table->schema(), criteria));
     const std::string path = "cold/ref" + std::to_string(++cold_seq_);
+    SkylineComputeOptions options;
+    options.constraint = constraint;
     SKYLINE_ASSIGN_OR_RETURN(
-        Table result, ComputeSkyline(SkylineAlgorithm::kSfs, *snapshot.table,
-                                     spec, ExecContext(), path, nullptr));
+        Table result,
+        ComputeSkyline(SkylineAlgorithm::kSfs, *snapshot.table, spec,
+                       ExecContext(), path, nullptr, options));
     std::vector<char> rows;
     SKYLINE_RETURN_IF_ERROR(result.ReadAllRows(&rows));
     SortSkylineRowsCanonical(spec, &rows);
@@ -308,6 +317,222 @@ TEST_F(EngineSessionTest, MultiRowInsertAndPredicatelessDelete) {
   EXPECT_EQ(snapshot.version, 3u);
 }
 
+TEST_F(EngineSessionTest, DeleteOfMemberBringsBackRowsOnlyItDominated) {
+  ASSERT_OK(engine_->CreateTableFromCsv("T",
+                                        "a,b,c\n"
+                                        "10,10,1\n"  // dominates the next 3
+                                        "9,9,2\n"
+                                        "8,9,3\n"    // dominated by (9,9)
+                                        "9,8,4\n"    // dominated by (9,9)
+                                        "12,1,5\n"
+                                        "1,12,6\n"
+                                        "0,0,7\n"));
+  ASSERT_OK_AND_ASSIGN(std::string before, Collect(kSkylineQuery));
+  Session::Outcome write;
+  ASSERT_OK_AND_ASSIGN(std::string empty,
+                       Collect("DELETE FROM T WHERE c = 1", &write));
+  EXPECT_EQ(write.mutation.entries_repaired, 1u);
+  Session::Outcome read;
+  ASSERT_OK_AND_ASSIGN(std::string after, Collect(kSkylineQuery, &read));
+  EXPECT_TRUE(read.cache_hit);
+  EXPECT_EQ(read.rows_emitted, 3u);  // (12,1), (1,12) and the risen (9,9)
+  ASSERT_OK_AND_ASSIGN(std::string reference, ColdSkyline("T", kCriteria));
+  EXPECT_EQ(after, reference);
+}
+
+TEST_F(EngineSessionTest, DiffRepairCoversEveryGroupThatLostAMember) {
+  ASSERT_OK(engine_->CreateTableFromCsv("T",
+                                        "g,a,b\n"
+                                        "0,10,10\n"
+                                        "0,9,9\n"    // under (10,10) in g 0
+                                        "1,10,10\n"
+                                        "1,8,8\n"    // under (10,10) in g 1
+                                        "2,5,5\n"
+                                        "2,4,4\n"));
+  const std::string query = "SELECT * FROM T SKYLINE OF g DIFF, a MAX, b MAX";
+  const std::vector<Criterion> criteria = {{"g", Directive::kDiff},
+                                           {"a", Directive::kMax},
+                                           {"b", Directive::kMax}};
+  ASSERT_OK_AND_ASSIGN(std::string before, Collect(query));
+  Session::Outcome write;
+  ASSERT_OK_AND_ASSIGN(std::string empty,
+                       Collect("DELETE FROM T WHERE a = 10", &write));
+  EXPECT_EQ(write.mutation.entries_repaired, 1u);
+  Session::Outcome read;
+  ASSERT_OK_AND_ASSIGN(std::string after, Collect(query, &read));
+  EXPECT_TRUE(read.cache_hit);
+  EXPECT_EQ(read.rows_emitted, 3u);  // (0,9,9), (1,8,8), (2,5,5)
+  ASSERT_OK_AND_ASSIGN(std::string reference, ColdSkyline("T", criteria));
+  EXPECT_EQ(after, reference);
+}
+
+TEST_F(EngineSessionTest, DeleteOfMemberWithSurvivingDuplicateStaysPatched) {
+  ASSERT_OK(CreateDemoTable());
+  ASSERT_OK_AND_ASSIGN(std::string empty,
+                       Collect("INSERT INTO T VALUES (3, 3, 99)"));
+  ASSERT_OK_AND_ASSIGN(std::string before, Collect(kSkylineQuery));
+  Session::Outcome write;
+  ASSERT_OK_AND_ASSIGN(std::string empty2,
+                       Collect("DELETE FROM T WHERE c = 30", &write));
+  EXPECT_EQ(write.mutation.entries_patched, 1u);
+  EXPECT_EQ(write.mutation.entries_repaired, 0u);
+  Session::Outcome read;
+  ASSERT_OK_AND_ASSIGN(std::string after, Collect(kSkylineQuery, &read));
+  EXPECT_TRUE(read.cache_hit);
+  EXPECT_EQ(read.rows_emitted, 3u);  // (3,3,99) stands in for (3,3,30)
+  ASSERT_OK_AND_ASSIGN(std::string reference, ColdSkyline("T", kCriteria));
+  EXPECT_EQ(after, reference);
+}
+
+// Delete repair against a seeded table: cached entries of several shapes —
+// mixed MIN/MAX criteria over int and float columns, a WHERE box, numeric
+// and string DIFF — lose skyline members one DELETE at a time and several
+// at once. After every delete each entry must equal a cold ComputeSkyline
+// in canonical order, byte for byte.
+class EngineRepairTest : public EngineSessionTest,
+                         public ::testing::WithParamInterface<bool> {
+ protected:
+  struct Shape {
+    std::string sql;
+    std::vector<Criterion> criteria;
+    SkylineConstraint constraint;
+  };
+
+  // Columns: id 0, a 1, b 2, c 3, g 4, f 5, s 6.
+  static std::vector<Shape> Shapes() {
+    SkylineConstraint box;
+    box.bounds.push_back({1, INT64_MIN, 70});  // a <= 70
+    box.bounds.push_back({3, 20, INT64_MAX});  // c >= 20
+    return {
+        {"SELECT * FROM R SKYLINE OF a MAX, b MIN, f MAX",
+         {{"a", Directive::kMax}, {"b", Directive::kMin},
+          {"f", Directive::kMax}},
+         {}},
+        {"SELECT * FROM R WHERE a <= 70 AND c >= 20 "
+         "SKYLINE OF a MAX, c MAX, b MAX",
+         {{"a", Directive::kMax}, {"c", Directive::kMax},
+          {"b", Directive::kMax}},
+         box},
+        {"SELECT * FROM R SKYLINE OF g DIFF, a MAX, b MAX",
+         {{"g", Directive::kDiff}, {"a", Directive::kMax},
+          {"b", Directive::kMax}},
+         {}},
+        {"SELECT * FROM R SKYLINE OF s DIFF, c MIN, f MIN",
+         {{"s", Directive::kDiff}, {"c", Directive::kMin},
+          {"f", Directive::kMin}},
+         {}},
+    };
+  }
+
+  void SetUp() override {
+    EngineSessionTest::SetUp();
+    Engine::Options options;
+    options.env = env_.get();
+    options.write_sidecars = false;
+    options.repair_deletes = GetParam();
+    engine_ = std::make_unique<Engine>(options);
+    Random rng(1717);
+    const char* const colors[] = {"red", "green", "blue"};
+    std::string csv = "id,a,b,c,g,f,s\n";
+    for (int id = 0; id < 400; ++id) {
+      char line[96];
+      std::snprintf(line, sizeof(line), "%d,%d,%d,%d,%d,%.2f,%s\n", id,
+                    static_cast<int>(rng.Uniform(100)),
+                    static_cast<int>(rng.Uniform(100)),
+                    static_cast<int>(rng.Uniform(100)),
+                    static_cast<int>(rng.Uniform(4)),
+                    static_cast<double>(rng.Uniform(10000)) / 100.0 - 50.0,
+                    colors[rng.Uniform(3)]);
+      csv += line;
+    }
+    ASSERT_OK(engine_->CreateTableFromCsv("R", csv));
+    for (const Shape& shape : Shapes()) {
+      ASSERT_OK_AND_ASSIGN(std::string warm, Collect(shape.sql));
+    }
+  }
+
+  /// Every shape's served result equals its cold recompute; with repair on
+  /// every one is still a cache hit.
+  void ExpectEveryShapeMatchesCold(const std::string& context) {
+    for (const Shape& shape : Shapes()) {
+      Session::Outcome read;
+      ASSERT_OK_AND_ASSIGN(std::string served, Collect(shape.sql, &read));
+      ASSERT_OK_AND_ASSIGN(
+          std::string reference,
+          ColdSkyline("R", shape.criteria, shape.constraint));
+      ASSERT_EQ(served, reference) << shape.sql << " after " << context;
+      if (GetParam()) {
+        EXPECT_TRUE(read.cache_hit) << shape.sql;
+      }
+    }
+  }
+
+  /// id (column 0, int32) of every row `sql` serves.
+  std::vector<int32_t> ServedIds(const std::string& sql) {
+    std::vector<int32_t> ids;
+    Session session(engine_.get());
+    Status status = session.Execute(sql, [&ids](const RowView& row) {
+      ids.push_back(row.GetInt32(0));
+      return Status::OK();
+    });
+    EXPECT_OK(status);
+    return ids;
+  }
+};
+
+TEST_P(EngineRepairTest, MemberDeletesMatchColdRecompute) {
+  const std::vector<Shape> shapes = Shapes();
+  Random rng(99);
+  uint64_t repaired = 0, invalidated = 0;
+  for (int step = 0; step < 24; ++step) {
+    const std::vector<int32_t> members =
+        ServedIds(shapes[step % shapes.size()].sql);
+    ASSERT_FALSE(members.empty());
+    const int32_t victim = members[rng.Uniform(members.size())];
+    Session::Outcome write;
+    ASSERT_OK_AND_ASSIGN(
+        std::string empty,
+        Collect("DELETE FROM R WHERE id = " + std::to_string(victim), &write));
+    ASSERT_EQ(write.rows_affected, 1u);
+    repaired += write.mutation.entries_repaired;
+    invalidated += write.mutation.entries_invalidated;
+    ExpectEveryShapeMatchesCold("deleting id " + std::to_string(victim));
+  }
+  if (GetParam()) {
+    EXPECT_GE(repaired, 24u);  // each step removed a member of its shape
+    EXPECT_EQ(invalidated, 0u);
+  } else {
+    EXPECT_EQ(repaired, 0u);
+    EXPECT_GE(invalidated, 24u);
+  }
+}
+
+TEST_P(EngineRepairTest, OneDeleteRemovingSeveralMembers) {
+  const std::string mixed = Shapes()[0].sql;  // a MAX leads
+  size_t doomed = 0;
+  Session session(engine_.get());
+  ASSERT_OK(session.Execute(mixed, [&doomed](const RowView& row) {
+    if (row.GetInt32(1) >= 95) ++doomed;
+    return Status::OK();
+  }));
+  ASSERT_GE(doomed, 2u);
+  Session::Outcome write;
+  ASSERT_OK_AND_ASSIGN(std::string empty,
+                       Collect("DELETE FROM R WHERE a >= 95", &write));
+  EXPECT_GT(write.rows_affected, doomed);
+  if (GetParam()) {
+    EXPECT_GE(write.mutation.entries_repaired, 1u);
+  } else {
+    EXPECT_GE(write.mutation.entries_invalidated, 1u);
+  }
+  ExpectEveryShapeMatchesCold("DELETE WHERE a >= 95");
+}
+
+INSTANTIATE_TEST_SUITE_P(RepairDeletes, EngineRepairTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Repair" : "Invalidate";
+                         });
+
 // The service guarantee under concurrency: N sessions issue a mix of
 // reads and writes against one table; after every mutation batch the
 // writer verifies the served (cached or patched) result is byte-identical
@@ -377,6 +602,134 @@ TEST_F(EngineSessionTest, ConcurrentMixedReadWriteStaysByteIdentical) {
   EXPECT_GT(counters.hits, 0u);
   EXPECT_GT(counters.patched + counters.repaired + counters.invalidations,
             0u);
+}
+
+// Version reclamation, on a real directory so the test can list exactly
+// what a run leaves behind.
+class EngineReclaimTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "engine_reclaim_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    env_ = NewPosixEnv();
+    Engine::Options options;
+    options.env = env_.get();
+    options.data_prefix = dir_;
+    engine_ = std::make_unique<Engine>(options);
+  }
+
+  void TearDown() override {
+    engine_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  std::set<std::string> FilesInDir() const {
+    std::set<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      names.insert(entry.path().filename().string());
+    }
+    return names;
+  }
+
+  /// Alternates inserts and deletes of fresh rows, with a cached skyline
+  /// patched (or repaired) across every write.
+  void Write(int count) {
+    Session session(engine_.get());
+    auto swallow = [](const RowView&) { return Status::OK(); };
+    for (int i = 0; i < count; ++i, ++writes_) {
+      const std::string sql =
+          writes_ % 2 == 0
+              ? "INSERT INTO T VALUES (" + std::to_string(writes_ % 7) + ", " +
+                    std::to_string(6 - writes_ % 7) + ", " +
+                    std::to_string(100 + writes_) + ")"
+              : "DELETE FROM T WHERE c = " + std::to_string(99 + writes_);
+      ASSERT_OK(session.Execute(sql, swallow));
+      ASSERT_OK(session.Execute(kSkylineQuery, swallow));
+    }
+  }
+
+  std::string dir_;
+  std::unique_ptr<Env> env_;
+  std::unique_ptr<Engine> engine_;
+  int writes_ = 0;
+};
+
+TEST_F(EngineReclaimTest, WritesLeaveOnlyTheCurrentVersionsFiles) {
+  ASSERT_OK(engine_->CreateTableFromCsv("T", "a,b,c\n5,1,10\n1,5,20\n"));
+  Write(50);
+  ASSERT_OK_AND_ASSIGN(Engine::TableSnapshot current, engine_->Snapshot("T"));
+  EXPECT_EQ(current.version, 51u);
+  const std::set<std::string> expected = {"T.v51", "T.v51.cols",
+                                          "T.v51.zidx"};
+  EXPECT_EQ(FilesInDir(), expected);
+  current.table.reset();
+  // Destroying the engine keeps the current version.
+  engine_.reset();
+  EXPECT_EQ(FilesInDir(), expected);
+}
+
+TEST_F(EngineReclaimTest, HeldSnapshotStaysReadableUntilReleased) {
+  ASSERT_OK(engine_->CreateTableFromCsv("T", "a,b,c\n5,1,10\n1,5,20\n"));
+  Write(1);
+  ASSERT_OK_AND_ASSIGN(Engine::TableSnapshot held, engine_->Snapshot("T"));
+  const std::string path = held.table->path();
+  std::vector<char> before;
+  ASSERT_OK(held.table->ReadAllRows(&before));
+  Write(3);
+  for (const std::string& file :
+       {path, ColumnFilePathFor(path), BlockIndexPathFor(path)}) {
+    EXPECT_TRUE(env_->FileExists(file)) << file;
+  }
+  std::vector<char> after;
+  ASSERT_OK(held.table->ReadAllRows(&after));
+  EXPECT_EQ(after, before);
+  held.table.reset();
+  for (const std::string& file :
+       {path, ColumnFilePathFor(path), BlockIndexPathFor(path)}) {
+    EXPECT_FALSE(env_->FileExists(file)) << file;
+  }
+  EXPECT_EQ(FilesInDir().size(), 3u);  // the current version's files
+}
+
+TEST_F(EngineReclaimTest, RebindNeverWritesOverAHeldVersion) {
+  ASSERT_OK(engine_->CreateTableFromCsv("T", "a,b,c\n5,1,10\n1,5,20\n"));
+  Write(1);
+  ASSERT_OK_AND_ASSIGN(Engine::TableSnapshot held, engine_->Snapshot("T"));
+  EXPECT_EQ(held.table->path(), dir_ + "/T.v2");
+  // A new binding of the name reaches version 2 while the old one's
+  // version 2 is still held: it must get a path of its own.
+  ASSERT_OK(engine_->CreateTableFromCsv("T", "a,b,c\n7,7,70\n"));
+  writes_ = 0;
+  Write(1);
+  ASSERT_OK_AND_ASSIGN(Engine::TableSnapshot current, engine_->Snapshot("T"));
+  EXPECT_EQ(current.version, 2u);
+  EXPECT_NE(current.table->path(), held.table->path());
+  held.table.reset();  // deletes the old binding's files only
+  std::vector<char> rows;
+  ASSERT_OK(current.table->ReadAllRows(&rows));
+  EXPECT_EQ(rows.size(), 2 * current.table->schema().row_width());
+  const std::set<std::string> expected = {"T.v2-1", "T.v2-1.cols",
+                                          "T.v2-1.zidx"};
+  EXPECT_EQ(FilesInDir(), expected);
+}
+
+TEST_F(EngineReclaimTest, CallerTablesAreNeverDeleted) {
+  const std::string base = dir_ + "/caller_table";
+  ASSERT_OK_AND_ASSIGN(Table table,
+                       CsvToTable(env_.get(), base, "a,b,c\n5,1,10\n"));
+  ASSERT_OK(engine_->CreateTable("T", std::move(table)));
+  Write(4);
+  EXPECT_TRUE(env_->FileExists(base));
+  // Rebinding the name supersedes the engine's own current version.
+  ASSERT_OK_AND_ASSIGN(Table again,
+                       CsvToTable(env_.get(), base + "2", "a,b,c\n1,1,1\n"));
+  ASSERT_OK(engine_->CreateTable("T", std::move(again)));
+  const std::set<std::string> expected = {
+      "caller_table", "caller_table.cols", "caller_table.zidx",
+      "caller_table2", "caller_table2.cols", "caller_table2.zidx"};
+  EXPECT_EQ(FilesInDir(), expected);
 }
 
 }  // namespace

@@ -87,7 +87,10 @@ class ExecContextSfsTest : public ::testing::Test {
 };
 
 TEST_F(ExecContextSfsTest, ContextThreadsOverrideSfsOptions) {
-  ASSERT_OK_AND_ASSIGN(Table t, MakeUniformTable(env_.get(), "t", 800, 3, 7));
+  // Enough rows for two full blocks of ParallelSfsOptions::min_block_rows
+  // (4096): below that the filter runs sequentially whatever the knobs say.
+  ASSERT_OK_AND_ASSIGN(Table t,
+                       MakeUniformTable(env_.get(), "t", 10000, 3, 7));
   SkylineSpec spec = MaxSpec(t, 3);
   const auto oracle = OracleSkylineMultiset(t, spec);
 

@@ -60,21 +60,26 @@ TEST_P(SfsPropertyTest, MatchesOracle) {
   EXPECT_LE(stats.spilled_tuples, stats.input_rows * stats.passes);
 }
 
+// Static storage zero-fills the padding bytes, which gtest prints in each
+// test's GetParam() comment; stack temporaries would leave them random and
+// the listed test names would change from run to run.
+constexpr SfsParam kSfsParams[] = {
+    SfsParam{2, 1, false, Presort::kNested},
+    SfsParam{2, 1, true, Presort::kEntropy},
+    SfsParam{3, 1, false, Presort::kEntropy},
+    SfsParam{3, 2, true, Presort::kNested},
+    SfsParam{4, 1, true, Presort::kEntropy},
+    SfsParam{4, 500, false, Presort::kNested},
+    SfsParam{5, 2, true, Presort::kEntropy},
+    SfsParam{5, 500, true, Presort::kNested},
+    SfsParam{6, 1, false, Presort::kNested},
+    SfsParam{6, 3, true, Presort::kEntropy},
+    SfsParam{7, 2, false, Presort::kEntropy},
+    SfsParam{7, 500, true, Presort::kEntropy},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, SfsPropertyTest,
-    ::testing::Values(
-        SfsParam{2, 1, false, Presort::kNested},
-        SfsParam{2, 1, true, Presort::kEntropy},
-        SfsParam{3, 1, false, Presort::kEntropy},
-        SfsParam{3, 2, true, Presort::kNested},
-        SfsParam{4, 1, true, Presort::kEntropy},
-        SfsParam{4, 500, false, Presort::kNested},
-        SfsParam{5, 2, true, Presort::kEntropy},
-        SfsParam{5, 500, true, Presort::kNested},
-        SfsParam{6, 1, false, Presort::kNested},
-        SfsParam{6, 3, true, Presort::kEntropy},
-        SfsParam{7, 2, false, Presort::kEntropy},
-        SfsParam{7, 500, true, Presort::kEntropy}),
+    Sweep, SfsPropertyTest, ::testing::ValuesIn(kSfsParams),
     [](const ::testing::TestParamInfo<SfsParam>& info) {
       const SfsParam& p = info.param;
       return "d" + std::to_string(p.dims) + "_w" +

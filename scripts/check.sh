@@ -50,7 +50,9 @@ echo "== check: TSan build (trace/metrics/thread-pool concurrency) =="
 # zone cache and the BBS access path that consumes it. EngineSession*/
 # Server*/Maintenance* cover the concurrent query server: the shared
 # result cache, the versioned-table swap under mixed read/write sessions,
-# and the thread-per-connection admission/shutdown paths; EngineRepair*/
+# the thread-per-connection admission/shutdown paths and the reaping of
+# finished connection threads; Protocol* the frame writer resuming sends
+# cut short by signals from another thread; EngineRepair*/
 # EngineReclaim*/StringDictionary* the delete repair, the reclamation of
 # superseded versions and the dictionary the sidecar writer encodes with.
 cmake -B "${prefix}-tsan" -S "$repo_root" \
@@ -58,7 +60,7 @@ cmake -B "${prefix}-tsan" -S "$repo_root" \
 cmake --build "${prefix}-tsan" -j"$jobs" --target skyline_tests
 TSAN_OPTIONS="halt_on_error=1" \
   "${prefix}-tsan/tests/skyline_tests" \
-  --gtest_filter='Trace*:Metrics*:RunReport*:ExecContext*:ThreadPool*:Partition*:SfsParallel*:ColumnFile*:TableZoneCache*:ZonePrefilter*:BlockIndex*:Bbs*:EngineSession*:Server*:Maintenance*:*EngineRepair*:EngineReclaim*:StringDictionary*'
+  --gtest_filter='Trace*:Metrics*:RunReport*:ExecContext*:ThreadPool*:Partition*:SfsParallel*:ColumnFile*:TableZoneCache*:ZonePrefilter*:BlockIndex*:Bbs*:EngineSession*:Protocol*:Server*:Maintenance*:*EngineRepair*:EngineReclaim*:StringDictionary*'
 
 echo "== check: server smoke test (ephemeral port, scripted client) =="
 # End-to-end over a real socket with the example binaries: start the

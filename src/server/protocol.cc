@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 
 namespace skyline {
 namespace {
@@ -23,21 +24,6 @@ Result<size_t> ReadFull(int fd, char* buffer, size_t count) {
     done += static_cast<size_t>(n);
   }
   return done;
-}
-
-Status WriteFull(int fd, const char* buffer, size_t count) {
-  size_t done = 0;
-  while (done < count) {
-    // MSG_NOSIGNAL: a peer that vanished mid-response must surface as
-    // EPIPE, not kill the server process with SIGPIPE.
-    const ssize_t n = ::send(fd, buffer + done, count - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("send: ") + ::strerror(errno));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -71,19 +57,47 @@ Status ReadFrame(int fd, std::string* payload, uint32_t max_bytes) {
 
 Status WriteFrame(int fd, const std::string& payload, uint32_t max_bytes) {
   if (payload.size() > max_bytes) {
-    return Status::IoError("response of " + std::to_string(payload.size()) +
-                           " bytes exceeds the " + std::to_string(max_bytes) +
-                           "-byte limit");
+    return Status::ResourceExhausted(
+        "response of " + std::to_string(payload.size()) +
+        " bytes exceeds the " + std::to_string(max_bytes) +
+        "-byte frame limit");
   }
   const uint32_t length = static_cast<uint32_t>(payload.size());
-  const unsigned char prefix[4] = {
-      static_cast<unsigned char>(length >> 24),
-      static_cast<unsigned char>(length >> 16),
-      static_cast<unsigned char>(length >> 8),
-      static_cast<unsigned char>(length)};
-  SKYLINE_RETURN_IF_ERROR(
-      WriteFull(fd, reinterpret_cast<const char*>(prefix), sizeof(prefix)));
-  return WriteFull(fd, payload.data(), payload.size());
+  unsigned char prefix[4] = {static_cast<unsigned char>(length >> 24),
+                             static_cast<unsigned char>(length >> 16),
+                             static_cast<unsigned char>(length >> 8),
+                             static_cast<unsigned char>(length)};
+  // The prefix and the payload leave in one sendmsg: sent as two sends,
+  // Nagle holds the payload until the peer ACKs the 4-byte prefix, and a
+  // delayed ACK makes that wait 40+ ms on every small frame. The iovecs
+  // point at the caller's payload, so nothing is copied.
+  iovec iov[2] = {{prefix, sizeof(prefix)},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    // MSG_NOSIGNAL (which writev cannot take): a peer that vanished
+    // mid-response must surface as EPIPE, not kill the process with
+    // SIGPIPE.
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(std::string("send: ") + ::strerror(errno));
+    }
+    // Resume a short send at the first unsent byte.
+    size_t sent = static_cast<size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace skyline

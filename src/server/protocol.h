@@ -15,6 +15,13 @@ namespace skyline {
 /// pipelining, no out-of-order responses), which keeps the client a loop
 /// of WriteFrame/ReadFrame pairs.
 ///
+/// A frame goes onto the socket in one send: prefix and payload together.
+/// Split into two sends, Nagle's algorithm holds the payload back until
+/// the peer ACKs the prefix, and the peer delays that ACK by 40 ms or
+/// more, so every small request and response would stall that long.
+/// Because every peer writes through WriteFrame, both directions are
+/// covered without TCP_NODELAY or any other socket option.
+///
 /// Request documents:
 ///   {"op": "query",  "sql": "SELECT ...", "timeout_ms": 1000,
 ///    "include_rows": true, "include_report": false}
@@ -46,8 +53,11 @@ inline constexpr uint32_t kMaxFrameBytes = 16u * 1024 * 1024;
 Status ReadFrame(int fd, std::string* payload,
                  uint32_t max_bytes = kMaxFrameBytes);
 
-/// Writes `payload` as one frame (length prefix + bytes), retrying short
-/// writes. IoError on socket errors or oversized payloads.
+/// Writes `payload` as one frame (length prefix + bytes) with a single
+/// sendmsg that references the payload in place, resuming after short
+/// sends and EINTR. Returns ResourceExhausted, having sent nothing, when
+/// the payload exceeds `max_bytes` (the stream stays usable); IoError on
+/// socket errors, including a closed peer (never SIGPIPE).
 Status WriteFrame(int fd, const std::string& payload,
                   uint32_t max_bytes = kMaxFrameBytes);
 

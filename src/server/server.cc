@@ -119,6 +119,9 @@ void SkylineServer::Stop() {
   for (std::thread& worker : workers) {
     if (worker.joinable()) worker.join();
   }
+  // Cleared only now that every worker has joined and none can add its id.
+  std::lock_guard<std::mutex> lock(mu_);
+  finished_workers_.clear();
 }
 
 SkylineServer::Counters SkylineServer::counters() const {
@@ -135,6 +138,7 @@ void SkylineServer::AcceptLoop() {
       if (errno == ECONNABORTED) continue;
       break;  // listen socket is gone; nothing left to accept
     }
+    ReapFinishedWorkers();
     bool reject = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -170,8 +174,13 @@ void SkylineServer::ServeConnection(int fd) {
       }
       break;
     }
-    const std::string response = HandleRequest(&session, payload);
-    if (!WriteFrame(fd, response).ok()) break;
+    Status write_status = WriteFrame(fd, HandleRequest(&session, payload));
+    // An oversized response was refused before any byte went out, so the
+    // stream is intact: answer with an error frame and keep serving.
+    if (write_status.IsResourceExhausted()) {
+      write_status = WriteFrame(fd, ErrorResponse(write_status));
+    }
+    if (!write_status.ok()) break;
     if (shutdown_requested_.load(std::memory_order_acquire)) break;
   }
   {
@@ -183,8 +192,34 @@ void SkylineServer::ServeConnection(int fd) {
       }
     }
     --active_connections_;
+    finished_workers_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
+}
+
+void SkylineServer::ReapFinishedWorkers() {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::thread::id id : finished_workers_) {
+      for (auto it = workers_.begin(); it != workers_.end(); ++it) {
+        if (it->get_id() == id) {
+          finished.push_back(std::move(*it));
+          workers_.erase(it);
+          break;
+        }
+      }
+    }
+    finished_workers_.clear();
+  }
+  // Each has left its bookkeeping and only closes its fd, so these joins
+  // return promptly.
+  for (std::thread& worker : finished) worker.join();
+}
+
+size_t SkylineServer::worker_threads() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return workers_.size();
 }
 
 bool SkylineServer::TryAcquireQuerySlot() {

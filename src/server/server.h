@@ -92,9 +92,17 @@ class SkylineServer {
 
   Counters counters() const;
 
+  /// Connection threads the server still holds: live ones plus finished
+  /// ones not yet joined. Finished threads are joined as the next
+  /// connection arrives, so this tracks concurrent connections, not the
+  /// number ever accepted.
+  size_t worker_threads() const;
+
  private:
   void AcceptLoop();
   void ServeConnection(int fd);
+  /// Joins the connection threads that have finished serving.
+  void ReapFinishedWorkers();
   /// Executes one parsed request document, returning the response JSON.
   std::string HandleRequest(Session* session, const std::string& payload);
   std::string HandleQuery(Session* session, const class JsonValue& request);
@@ -110,7 +118,9 @@ class SkylineServer {
   std::thread accept_thread_;
 
   mutable std::mutex mu_;
-  std::vector<std::thread> workers_;  // joined by Stop()
+  std::vector<std::thread> workers_;  // reaped on accept, joined by Stop()
+  /// Workers that have finished serving and await a join.
+  std::vector<std::thread::id> finished_workers_;
   std::vector<int> active_fds_;       // closed by Stop() to unblock reads
   size_t active_connections_ = 0;
   size_t active_queries_ = 0;

@@ -5,6 +5,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "common/json_reader.h"
 #include "common/json_writer.h"
 #include "gtest/gtest.h"
+#include "relation/table.h"
 #include "server/protocol.h"
 #include "test_util.h"
 
@@ -87,6 +91,24 @@ std::string ErrorCode(const std::string& payload) {
   return error->GetString("code", "<no-code>");
 }
 
+std::string ErrorMessage(const std::string& payload) {
+  auto parsed = ParseJson(payload);
+  if (!parsed.ok()) return "<unparseable>";
+  const JsonValue* error = parsed.value().Find("error");
+  if (error == nullptr) return "<no-error-member>";
+  return error->GetString("message", "<no-message>");
+}
+
+/// The process's live thread count, from /proc/self/status.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -158,6 +180,81 @@ TEST_F(ServerTest, MalformedFramesReportErrors) {
   // The connection survives every error above.
   ASSERT_OK_AND_ASSIGN(std::string pong, client.Call(R"({"op": "ping"})"));
   EXPECT_TRUE(ResponseOk(pong));
+}
+
+TEST_F(ServerTest, PingRoundTripsBeatOneDelayedAck) {
+  // A frame split over two sends waits out the peer's delayed ACK (40+
+  // ms) on every round trip; one send per frame takes loopback well
+  // under a millisecond. 5 ms leaves room for sanitizer builds.
+  StartServer();
+  TestClient client(server_->port());
+  std::vector<double> round_trip_ms;
+  for (int i = 0; i < 50; ++i) {
+    const auto started = std::chrono::steady_clock::now();
+    ASSERT_OK_AND_ASSIGN(std::string pong, client.Call(R"({"op": "ping"})"));
+    round_trip_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - started)
+                                .count());
+    ASSERT_TRUE(ResponseOk(pong));
+  }
+  auto median = round_trip_ms.begin() + round_trip_ms.size() / 2;
+  std::nth_element(round_trip_ms.begin(), median, round_trip_ms.end());
+  EXPECT_LT(*median, 5.0);
+}
+
+TEST_F(ServerTest, OversizedResponseGetsErrorFrameAndConnectionSurvives) {
+  // 20k mutually incomparable rows (x ascends while y descends), each
+  // carrying a filled 1000-byte string: the full skyline renders past the
+  // 16 MiB frame cap.
+  constexpr int kRows = 20000;
+  ASSERT_OK_AND_ASSIGN(
+      Schema schema,
+      Schema::Make({ColumnDef::Int32("x"), ColumnDef::Int32("y"),
+                    ColumnDef::FixedString("payload", 1000)}));
+  TableBuilder builder(env_.get(), "wide", schema);
+  ASSERT_OK(builder.Open());
+  RowBuffer row(&builder.schema());
+  const std::string filler(1000, 'p');
+  for (int i = 0; i < kRows; ++i) {
+    row.SetInt32(0, i);
+    row.SetInt32(1, kRows - i);
+    row.SetString(2, filler);
+    ASSERT_OK(builder.Append(row));
+  }
+  ASSERT_OK_AND_ASSIGN(Table table, builder.Finish());
+  ASSERT_OK(engine_->CreateTable("Wide", std::move(table)));
+
+  StartServer();
+  TestClient client(server_->port());
+  ASSERT_OK_AND_ASSIGN(
+      std::string payload,
+      client.Query("SELECT * FROM Wide SKYLINE OF x MAX, y MAX"));
+  EXPECT_FALSE(ResponseOk(payload));
+  EXPECT_EQ(ErrorCode(payload), "ResourceExhausted");
+  const std::string message = ErrorMessage(payload);
+  EXPECT_NE(message.find("exceeds the " + std::to_string(kMaxFrameBytes) +
+                         "-byte frame limit"),
+            std::string::npos)
+      << message;
+  // The refused frame sent nothing, so the same connection still serves.
+  ASSERT_OK_AND_ASSIGN(std::string pong, client.Call(R"({"op": "ping"})"));
+  EXPECT_TRUE(ResponseOk(pong));
+}
+
+TEST_F(ServerTest, FinishedConnectionThreadsAreReaped) {
+  StartServer();
+  const int threads_before = ProcessThreads();
+  ASSERT_GT(threads_before, 0);
+  for (int i = 0; i < 200; ++i) {
+    TestClient client(server_->port());
+    ASSERT_OK_AND_ASSIGN(std::string pong, client.Call(R"({"op": "ping"})"));
+    ASSERT_TRUE(ResponseOk(pong));
+  }
+  // An exited thread leaves the kernel's count at once, joined or not, so
+  // the held std::thread objects are checked directly: only the last few
+  // connections' threads may still await their join.
+  EXPECT_LE(server_->worker_threads(), 4u);
+  EXPECT_LE(ProcessThreads(), threads_before + 4);
 }
 
 TEST_F(ServerTest, CachedResponsesAreByteIdentical) {

@@ -54,13 +54,14 @@ echo "== check: TSan build (trace/metrics/thread-pool concurrency) =="
 # finished connection threads; Protocol* the frame writer resuming sends
 # cut short by signals from another thread; EngineRepair*/
 # EngineReclaim*/StringDictionary* the delete repair, the reclamation of
-# superseded versions and the dictionary the sidecar writer encodes with.
+# superseded versions and the dictionary the sidecar writer encodes with;
+# ExternalSort* the sorter's pool-parallel run formation and merges.
 cmake -B "${prefix}-tsan" -S "$repo_root" \
   -DSKYLINE_SANITIZE=thread -DCMAKE_BUILD_TYPE=Debug
 cmake --build "${prefix}-tsan" -j"$jobs" --target skyline_tests
 TSAN_OPTIONS="halt_on_error=1" \
   "${prefix}-tsan/tests/skyline_tests" \
-  --gtest_filter='Trace*:Metrics*:RunReport*:ExecContext*:ThreadPool*:Partition*:SfsParallel*:ColumnFile*:TableZoneCache*:ZonePrefilter*:BlockIndex*:Bbs*:EngineSession*:Protocol*:Server*:Maintenance*:*EngineRepair*:EngineReclaim*:StringDictionary*'
+  --gtest_filter='Trace*:Metrics*:RunReport*:ExecContext*:ThreadPool*:Partition*:SfsParallel*:ColumnFile*:TableZoneCache*:ZonePrefilter*:BlockIndex*:Bbs*:EngineSession*:Protocol*:Server*:Maintenance*:*EngineRepair*:EngineReclaim*:StringDictionary*:ExternalSort*'
 
 echo "== check: server smoke test (ephemeral port, scripted client) =="
 # End-to-end over a real socket with the example binaries: start the

@@ -1,6 +1,7 @@
 #ifndef SKYLINE_COMMON_ORDER_KEY_H_
 #define SKYLINE_COMMON_ORDER_KEY_H_
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 
@@ -56,6 +57,17 @@ inline int64_t OrderKey64(int64_t v, bool max) { return max ? v : ~v; }
 inline int64_t OrderKeyFromDouble(double v, bool max) {
   const int64_t k = Float64TotalOrderKey(v);
   return max ? k : ~k;
+}
+
+/// Unsigned sort prefix of a double key under "larger key first": a
+/// strictly larger value maps to a strictly smaller prefix, and values
+/// equal under `==` map to one prefix (-0.0 and +0.0 share 0.0's). Every
+/// NaN maps to the largest prefix, so NaN keys sort last, together.
+inline uint64_t DescendingPrefixFromDouble(double v) {
+  if (std::isnan(v)) return ~uint64_t{0};
+  if (v == 0.0) v = 0.0;
+  return ~(static_cast<uint64_t>(Float64TotalOrderKey(v)) ^
+           0x8000000000000000ULL);
 }
 
 /// Three-way compare of doubles under the total order (the engine-wide

@@ -7,36 +7,61 @@
 
 #include "common/logging.h"
 #include "core/cardinality.h"
-#include "core/dominance.h"
+#include "core/scoring.h"
+#include "core/window.h"
 #include "storage/page.h"
 
 namespace skyline {
 namespace {
 
-/// Rows sampled to measure a skyline cardinality for kAuto. The quadratic
-/// in-memory skyline over it is ~4M dominance tests worst case —
-/// microseconds-scale against the scan it stands to save.
+/// Rows sampled to measure a skyline cardinality for kAuto.
 constexpr uint64_t kAccessSampleRows = 2048;
 
-/// In-memory skyline cardinality of `count` rows (quadratic, sample-sized
-/// inputs only). Counts distinct-position skyline members: duplicates all
-/// count, matching what SFS emits.
+}  // namespace
+
 uint64_t SampleSkylineCount(const SkylineSpec& spec, const char* rows,
                             uint64_t count) {
+  if (count == 0) return 0;
   const size_t width = spec.schema().row_width();
-  uint64_t skyline = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    bool dominated = false;
-    for (uint64_t j = 0; j < count && !dominated; ++j) {
-      if (j == i) continue;
-      dominated = Dominates(spec, rows + j * width, rows + i * width);
+  // The sample's own min/max normalize the entropy score. Any monotone
+  // score with the ordering's exact tie-break is a topological sort of
+  // dominance, which is all the window pass needs.
+  std::vector<ColumnStats> stats(spec.schema().num_columns());
+  for (const auto& vc : spec.value_columns()) {
+    for (uint64_t i = 0; i < count; ++i) {
+      stats[vc.column].Observe(
+          spec.schema().NumericValue(vc.column, rows + i * width));
     }
-    if (!dominated) ++skyline;
+  }
+  EntropyOrdering ordering(&spec, std::move(stats));
+  std::vector<std::pair<uint64_t, uint32_t>> order(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    order[i] = {ordering.PrefixKey(rows + i * width),
+                static_cast<uint32_t>(i)};
+  }
+  std::sort(order.begin(), order.end(),
+            [&](const auto& a, const auto& b) {
+              if (a.first != b.first) return a.first < b.first;
+              return ordering.Compare(rows + a.second * width,
+                                      rows + b.second * width) < 0;
+            });
+  // Every dominated row has a dominating skyline row earlier in this
+  // order, so testing each row against the confirmed members alone decides
+  // it. Equal rows (kDuplicateSkyline) are all members, as SFS emits them.
+  const size_t per_page = RecordsPerPage(spec.projected_schema().row_width());
+  Window window(&spec, static_cast<size_t>((count + per_page - 1) / per_page),
+                /*projected=*/true);
+  uint64_t skyline = 0;
+  for (const auto& entry : order) {
+    const Window::Verdict verdict =
+        window.Test(rows + static_cast<size_t>(entry.second) * width);
+    if (verdict == Window::Verdict::kAdded ||
+        verdict == Window::Verdict::kDuplicateSkyline) {
+      ++skyline;
+    }
   }
   return skyline;
 }
-
-}  // namespace
 
 uint64_t SfsPassesForSkyline(uint64_t skyline_count,
                              uint64_t window_capacity) {

@@ -76,6 +76,14 @@ struct SkylineAccessChoice {
   double bbs_threshold = 0;
 };
 
+/// Skyline cardinality of `count` in-memory rows of spec.schema(), every
+/// copy of a duplicated member counted (as SFS emits them). One
+/// entropy-presorted window pass: each row is tested against the
+/// confirmed members only. The projected row must fit a page (always so
+/// without DIFF columns).
+uint64_t SampleSkylineCount(const SkylineSpec& spec, const char* rows,
+                            uint64_t count);
+
 /// Chooses the kAuto access path for `spec` over `input`:
 ///  - 2/3 MIN/MAX criteria take the windowless special scans, always;
 ///  - with an available index (`index_available`) and no DIFF columns,

@@ -7,6 +7,7 @@
 #include "common/stopwatch.h"
 #include "core/dominance.h"
 #include "core/sfs.h"
+#include "storage/heap_file.h"
 #include "storage/page.h"
 #include "storage/temp_file_manager.h"
 
@@ -94,20 +95,38 @@ Result<Table> ComputeSkylineLess(const Table& input, const SkylineSpec& spec,
   Env* env = input.env();
   TempFileManager temp_files(env, ctx.TempPrefixOr(output_path + ".less_tmp"));
 
-  // Phase 1: entropy sort with the elimination filter screening the input.
+  // Phase 1: the elimination filter screens the input while it is staged;
+  // only the survivors are sorted.
   EntropyScorer scorer(&spec, input);
   EntropyOrdering ordering(&spec, input);
   EliminationFilter ef(&spec, &scorer, options.ef_window_pages);
-  SortOptions sort_options = options.sort_options;
-  sort_options.filter = &ef;
+  const size_t width = spec.schema().row_width();
 
   Stopwatch sort_timer;
   TraceSpan presort_span(ctx.trace, "presort");
+  const std::string staged_path = temp_files.Allocate("less_staged");
+  IoStats staged_io;
+  {
+    auto reader = input.NewReader(nullptr);
+    SKYLINE_RETURN_IF_ERROR(reader->Open());
+    HeapFileWriter staged(env, staged_path, width, &staged_io);
+    SKYLINE_RETURN_IF_ERROR(staged.Open());
+    uint64_t scanned = 0;
+    while (const char* row = reader->Next()) {
+      if ((++scanned & 4095u) == 0) {
+        SKYLINE_RETURN_IF_ERROR(ctx.CheckCancelled());
+      }
+      if (ef.Keep(row)) SKYLINE_RETURN_IF_ERROR(staged.Append(row));
+    }
+    SKYLINE_RETURN_IF_ERROR(reader->status());
+    SKYLINE_RETURN_IF_ERROR(staged.Finish());
+  }
   SKYLINE_ASSIGN_OR_RETURN(
       std::string sorted_path,
-      SortHeapFile(env, &temp_files, input.path(), spec.schema().row_width(),
-                   ordering, sort_options, ctx, &s->run.sort_stats));
+      SortHeapFile(env, &temp_files, staged_path, width, ordering,
+                   options.sort_options, ctx, &s->run.sort_stats));
   presort_span.End();
+  s->run.sort_stats.io += staged_io;
   s->run.sort_seconds = sort_timer.ElapsedSeconds();
   s->ef_dropped = ef.dropped();
   s->ef_comparisons = ef.comparisons();

@@ -16,7 +16,7 @@
 namespace skyline {
 
 /// Elimination-filter window: drops tuples dominated by a small cache of
-/// high-entropy "killer" tuples while the presort reads its input — the
+/// high-entropy "killer" tuples before they reach the presort — the
 /// paper's Section 6 future-work item ("removal of non-skyline tuples
 /// could be done during the external sort passes"), realized the way the
 /// authors later did in LESS (Godfrey, Shipley & Gryz, VLDB 2005).
@@ -26,7 +26,7 @@ namespace skyline {
 /// higher-scoring arrival: dropping window entries is always safe (the
 /// window only ever *eliminates*, it never certifies), so the policy just
 /// maximizes expected dominance coverage.
-class EliminationFilter : public RowFilter {
+class EliminationFilter {
  public:
   /// `spec` and `scorer` must outlive the filter. Capacity is
   /// `window_pages` pages of projected entries.
@@ -34,7 +34,7 @@ class EliminationFilter : public RowFilter {
                     size_t window_pages);
 
   /// False iff `row` is dominated by a window entry.
-  bool Keep(const char* row) override;
+  bool Keep(const char* row);
 
   uint64_t dropped() const { return dropped_; }
   uint64_t comparisons() const { return comparisons_; }
@@ -75,10 +75,12 @@ struct LessStats {
   uint64_t ef_comparisons = 0;
 };
 
-/// Computes the skyline with entropy presort + elimination during the
-/// sort's input pass + SFS filtering of the sorted remainder. Equivalent
-/// output to ComputeSkylineSfs, but the bulk of dominated tuples never
-/// reach the sort runs, shrinking both sort I/O and filter work.
+/// Computes the skyline with elimination while staging the input, an
+/// entropy presort of the survivors, and SFS filtering of the sorted
+/// remainder. Equivalent output to ComputeSkylineSfs, but the bulk of
+/// dominated tuples never reach the sort runs, shrinking both sort I/O and
+/// filter work. The staged survivors' page writes count in the run's
+/// sort_stats.io, as LESS's first pass.
 Result<Table> ComputeSkylineLess(const Table& input, const SkylineSpec& spec,
                                  const LessOptions& options,
                                  const ExecContext& ctx,

@@ -115,10 +115,11 @@ void AppendRunStatsObject(JsonWriter* json, const SkylineRunStats& stats) {
   json->BeginObject();
   json->KeyValue("runs_generated", stats.sort_stats.runs_generated);
   json->KeyValue("merge_levels", stats.sort_stats.merge_levels);
-  json->KeyValue("records_filtered", stats.sort_stats.records_filtered);
   json->KeyValue("threads_used", stats.sort_stats.threads_used);
   json->KeyValue("pages_read", stats.sort_stats.io.pages_read);
   json->KeyValue("pages_written", stats.sort_stats.io.pages_written);
+  json->KeyValue("key_pages_read", stats.sort_stats.key_io.pages_read);
+  json->KeyValue("key_pages_written", stats.sort_stats.key_io.pages_written);
   json->EndObject();
   json->EndObject();
 }
@@ -336,9 +337,9 @@ void PublishRunStats(MetricsRegistry* metrics, std::string_view prefix,
   counter("degraded_parallelism_runs", stats.DegradedParallelism() ? 1 : 0);
   counter("sort_runs_generated", stats.sort_stats.runs_generated);
   counter("sort_merge_levels", stats.sort_stats.merge_levels);
-  counter("sort_records_filtered", stats.sort_stats.records_filtered);
   counter("sort_pages_read", stats.sort_stats.io.pages_read);
   counter("sort_pages_written", stats.sort_stats.io.pages_written);
+  counter("sort_key_pages", stats.sort_stats.key_io.TotalPages());
   metrics->GetGauge(p + ".threads_used")
       .Set(static_cast<int64_t>(stats.threads_used));
   metrics->GetHistogram(p + ".sort_seconds")

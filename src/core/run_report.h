@@ -31,8 +31,9 @@ namespace skyline {
 ///               route_estimated_skyline, route_bbs_threshold,
 ///               sort_seconds, filter_seconds, block_scan_seconds,
 ///               block_merge_seconds, total_seconds,
-///               sort: {runs_generated, merge_levels, records_filtered,
-///                      threads_used, pages_read, pages_written}},
+///               sort: {runs_generated, merge_levels, threads_used,
+///                      pages_read, pages_written, key_pages_read,
+///                      key_pages_written}},
 ///     plan:    [{label, depth, rows_in, rows_out, next_calls, open_ns,
 ///                total_ns, self_ns, counters: {...},
 ///                notes: {...}}, ...],              // if collected

@@ -1,6 +1,7 @@
 #include "core/scoring.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -15,6 +16,8 @@ EntropyScorer::EntropyScorer(const SkylineSpec* spec,
     const ColumnStats& cs = stats[vc.column];
     ColumnNorm norm;
     norm.column = vc.column;
+    norm.offset = spec->schema().offset(vc.column);
+    norm.type = spec->schema().column(vc.column).type;
     norm.max = vc.max;
     norm.lo = cs.valid ? cs.min : 0.0;
     const double span = cs.valid ? cs.max - cs.min : 0.0;
@@ -44,8 +47,24 @@ EntropyScorer::EntropyScorer(const SkylineSpec* spec, const Table& table)
 
 double EntropyScorer::Normalized(size_t value_index, const char* row) const {
   const ColumnNorm& norm = norms_[value_index];
-  const double v = spec_->schema().NumericValue(norm.column, row);
+  // Schema::NumericValue, inlined: the presort scores every input row.
+  double v = 0.0;
+  const char* field = row + norm.offset;
+  if (norm.type == ColumnType::kInt32) {
+    int32_t i;
+    std::memcpy(&i, field, sizeof(i));
+    v = static_cast<double>(i);
+  } else if (norm.type == ColumnType::kInt64) {
+    int64_t i;
+    std::memcpy(&i, field, sizeof(i));
+    v = static_cast<double>(i);
+  } else {
+    std::memcpy(&v, field, sizeof(v));
+  }
   double x = (v - norm.lo) * norm.inv_span;
+  // NaN ranks past ±inf in the engine's total order of doubles; keeping
+  // the score monotone in it keeps the entropy order a topological sort.
+  if (std::isnan(x)) x = std::signbit(v) ? 0.0 : 1.0;
   if (x < 0.0) x = 0.0;
   if (x > 1.0) x = 1.0;
   return norm.max ? x : 1.0 - x;

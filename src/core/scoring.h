@@ -40,6 +40,8 @@ class EntropyScorer {
  private:
   struct ColumnNorm {
     size_t column;
+    size_t offset;  // byte offset of the column in a row
+    ColumnType type;
     bool max;
     double lo;
     double inv_span;  // 0 when the column is constant or stats invalid
@@ -68,9 +70,9 @@ class LinearScorer {
 
 /// RowOrdering that sorts by entropy score descending, with DIFF columns
 /// outermost (ascending) so DIFF groups are contiguous. When the spec has no
-/// DIFF columns the ordering exposes a scalar key, enabling the sorter's
-/// single-key fast path (the paper's "sorting on a single attribute is
-/// faster than nested-sorting" observation).
+/// DIFF columns the ordering exposes the score as its key, so the sorter
+/// orders by one integer per row (the paper's "sorting on a single
+/// attribute is faster than nested-sorting" observation).
 class EntropyOrdering : public RowOrdering {
  public:
   EntropyOrdering(const SkylineSpec* spec, std::vector<ColumnStats> stats);

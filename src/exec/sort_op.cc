@@ -47,10 +47,6 @@ const char* SortOperator::NextImpl() {
 void SortOperator::CollectOperatorDetail(PlanNodeStats* node) const {
   node->counters.emplace_back("runs_generated", sort_stats_.runs_generated);
   node->counters.emplace_back("merge_levels", sort_stats_.merge_levels);
-  if (sort_stats_.records_filtered > 0) {
-    node->counters.emplace_back("records_filtered",
-                                sort_stats_.records_filtered);
-  }
   node->counters.emplace_back("threads_used", sort_stats_.threads_used);
   node->counters.emplace_back("temp_pages",
                               sort_stats_.io.pages_read +

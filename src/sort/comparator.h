@@ -2,6 +2,7 @@
 #define SKYLINE_SORT_COMPARATOR_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "relation/schema.h"
@@ -12,13 +13,15 @@ namespace skyline {
 /// sorter. Implementations must be consistent (strict weak ordering).
 ///
 /// When `has_key()` is true the ordering is "larger double key first",
-/// with key ties resolved by Compare(); the sorter then caches one key per
-/// record and only falls back to multi-column comparisons on equal keys —
-/// this is the paper's observation that sorting on a single computed
-/// attribute (the entropy score E) is cheaper than a nested sort over many
-/// attributes. Implementations whose Compare() distinguishes rows that
-/// share a key (e.g. an exact tie-break under a lossy score) rely on this
-/// fallback for correctness.
+/// with key ties resolved by Compare(). Implementations whose Compare()
+/// distinguishes rows that share a key (e.g. an exact tie-break under a
+/// lossy score) rely on that fallback for correctness.
+///
+/// The external sorter orders records by PrefixKey() — one exact integer
+/// per record, computed once — and calls Compare() only between records
+/// whose prefixes are equal. This is the paper's observation that sorting
+/// on a single computed attribute (the entropy score E) is cheaper than a
+/// nested sort over many attributes, taken down to integer compares.
 class RowOrdering {
  public:
   virtual ~RowOrdering() = default;
@@ -31,6 +34,14 @@ class RowOrdering {
 
   /// Scalar sort key; only meaningful when has_key() is true.
   virtual double Key(const char* /*row*/) const { return 0.0; }
+
+  /// Order-preserving integer prefix of the order: PrefixKey(a) <
+  /// PrefixKey(b) must imply Compare(a, b) < 0 (so equal rows share a
+  /// prefix, and unequal prefixes never need Compare). The default is the
+  /// descending image of Key() for has_key() orderings
+  /// (DescendingPrefixFromDouble) and 0 otherwise, which leaves the whole
+  /// order to Compare.
+  virtual uint64_t PrefixKey(const char* row) const;
 };
 
 /// One column of a lexicographic sort.
@@ -48,11 +59,19 @@ class LexicographicOrdering : public RowOrdering {
 
   int Compare(const char* a, const char* b) const override;
 
+  /// Packs the leading sort columns in sort direction: up to two int32
+  /// columns (32 bits each, the first in the high half), or one int64 or
+  /// float64 column (float64 through the total order). 0 when the first
+  /// column is a string.
+  uint64_t PrefixKey(const char* row) const override;
+
   const std::vector<SortKey>& keys() const { return keys_; }
 
  private:
   const Schema* schema_;
   std::vector<SortKey> keys_;
+  /// Leading keys_ packed by PrefixKey (0, 1 or 2).
+  size_t prefix_columns_ = 0;
 };
 
 /// Ordering that inverts another (for worst-case input experiments such as

@@ -17,26 +17,12 @@
 
 namespace skyline {
 
-/// Record-level filter applied while the sorter reads its input — the hook
-/// behind the paper's Section 6 suggestion that "removal of non-skyline
-/// tuples could be done during the external sort passes" (realized by the
-/// elimination-filter window of core/less.h).
-class RowFilter {
- public:
-  virtual ~RowFilter() = default;
-
-  /// Returns false to drop the record before it enters a sort run.
-  virtual bool Keep(const char* row) = 0;
-};
-
 /// Tuning knobs for the external merge sort.
 struct SortOptions {
   /// Pages of record buffer available: bounds both the in-memory run size
   /// and the merge fan-in. The paper's experiments give the sort a
   /// 1,000-page allocation.
   size_t buffer_pages = 1000;
-  /// Optional input filter (must outlive the sort); see RowFilter.
-  RowFilter* filter = nullptr;
   /// Worker threads for run formation and merging. 1 (the default) keeps
   /// the classic sequential sort; 0 means one per hardware thread. The
   /// sorted output is byte-identical for every thread count: parallelism
@@ -50,22 +36,33 @@ struct SortOptions {
 struct SortStats {
   uint64_t runs_generated = 0;
   uint64_t merge_levels = 0;
-  /// Records dropped by SortOptions::filter.
-  uint64_t records_filtered = 0;
   /// Worker threads the sort actually used.
   uint64_t threads_used = 1;
-  /// Pages written+read for runs and merges (excludes reading the input and
-  /// counts the final output's write).
+  /// Record pages written+read for runs and merges (excludes reading the
+  /// input and counts the final output's write).
   IoStats io;
+  /// Pages of the runs' prefix-key streams (8-byte keys, 512 per page),
+  /// written and read only when the input needs a merge. Kept apart from
+  /// `io` so the record-page counts of the paper's figures stay as they
+  /// were.
+  IoStats key_io;
 };
 
-/// Classic external merge sort over heap files of fixed-width records:
-/// quicksorted initial runs of `buffer_pages` pages each, then k-way merges
-/// with fan-in `buffer_pages - 1` until one sorted file remains.
+/// External merge sort over heap files of fixed-width records, ordered by
+/// one exact integer prefix per record (RowOrdering::PrefixKey) with
+/// RowOrdering::Compare deciding only between equal prefixes.
 ///
-/// When `ordering->has_key()` the sorter caches one scalar key per record
-/// (computed once per run / merge cursor) instead of invoking the
-/// multi-column comparator per comparison.
+/// Run formation reads `buffer_pages` pages of records, computes each
+/// record's prefix once, LSD-radix-sorts (prefix, position) pairs (digit
+/// passes on which every key agrees are skipped), stable-sorts each
+/// equal-prefix span by Compare and writes the run. When the input needs a
+/// merge, each run also writes its prefixes to a companion key stream, so
+/// merges never re-score a record. Merges are k-way over a loser tree with
+/// fan-in `buffer_pages - 1`; ties go to Compare, then to the earlier run.
+///
+/// The output is therefore exactly `std::stable_sort` of the input under
+/// Compare (given the PrefixKey contract): fully-equal records keep their
+/// input order, and the bytes do not depend on the thread count.
 ///
 /// With SortOptions::threads > 1 the sorter parallelizes on a ThreadPool:
 /// run formation pipelines the (sequential) input scan against concurrent
@@ -91,20 +88,27 @@ class ExternalSorter {
   Result<std::string> Sort(const std::string& input_path);
 
  private:
+  /// A sorted run: its records, and its prefix-key stream (empty when the
+  /// run is the sort's output and nothing merges it).
+  struct Run {
+    std::string rows;
+    std::string keys;
+  };
+
   Result<std::string> GenerateRuns(const std::string& input_path,
-                                   std::vector<std::string>* runs);
-  /// Sorts `count` records in `buffer` and writes them to `run_path`,
-  /// accumulating page I/O into `io` (caller-local; merged later).
+                                   std::vector<Run>* runs);
+  /// Sorts `count` records in `buffer` and writes them to `run`,
+  /// accumulating page I/O into `io`/`key_io` (caller-local; merged later).
   Status SortAndWriteRun(std::vector<char> buffer, size_t count,
-                         const std::string& run_path, IoStats* io);
-  Result<std::string> MergeRuns(std::vector<std::string> runs);
-  /// Merges `group` into `out_path`. `append_pool`, when non-null, receives
-  /// the page-append work so it overlaps with comparisons; it must only be
-  /// set when MergeOnce runs on the caller thread (never from inside a pool
-  /// task, which must not wait on tasks it submitted).
-  Status MergeOnce(const std::vector<std::string>& group,
-                   const std::string& out_path, ThreadPool* append_pool,
-                   IoStats* io);
+                         const Run& run, IoStats* io, IoStats* key_io);
+  Result<std::string> MergeRuns(std::vector<Run> runs);
+  /// Merges `group` into `out` (writing out.keys unless it is empty).
+  /// `append_pool`, when non-null, receives the page-append work so it
+  /// overlaps with comparisons; it must only be set when MergeOnce runs on
+  /// the caller thread (never from inside a pool task, which must not wait
+  /// on tasks it submitted).
+  Status MergeOnce(const std::vector<Run>& group, const Run& out,
+                   ThreadPool* append_pool, IoStats* io, IoStats* key_io);
 
   Env* env_;
   TempFileManager* temp_files_;

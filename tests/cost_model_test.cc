@@ -1,12 +1,19 @@
 #include "core/cost_model.h"
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
+#include "core/dominance.h"
 #include "gtest/gtest.h"
+#include "relation/generator.h"
 #include "test_util.h"
 
 namespace skyline {
 namespace {
 
 using testing_util::MakeUniformTable;
+using testing_util::ReadAll;
 
 SkylineSpec MaxSpec(const Table& t, int dims) {
   std::vector<Criterion> criteria;
@@ -116,6 +123,98 @@ TEST(CostModel, InputPagesMatchTable) {
   SfsCostEstimate estimate =
       EstimateSfsCost(t.row_count(), spec, SfsOptions{});
   EXPECT_EQ(estimate.input_pages, t.page_count());
+}
+
+/// All-pairs skyline count: each row against every other. The oracle for
+/// the window-pass SampleSkylineCount.
+uint64_t AllPairsSkylineCount(const SkylineSpec& spec, const char* rows,
+                              uint64_t count) {
+  const size_t width = spec.schema().row_width();
+  uint64_t skyline = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    bool dominated = false;
+    for (uint64_t j = 0; j < count && !dominated; ++j) {
+      if (j == i) continue;
+      dominated = Dominates(spec, rows + j * width, rows + i * width);
+    }
+    if (!dominated) ++skyline;
+  }
+  return skyline;
+}
+
+TEST(CostModel, SampleSkylineCountMatchesAllPairsOracle) {
+  struct Case {
+    Distribution distribution;
+    int dims;
+    bool small_domain;
+    bool mixed_types;
+  };
+  const Case cases[] = {
+      {Distribution::kIndependent, 4, false, false},
+      {Distribution::kCorrelated, 5, false, false},
+      {Distribution::kAntiCorrelated, 4, false, false},
+      {Distribution::kAntiCorrelated, 5, false, true},
+      {Distribution::kIndependent, 3, true, false},
+      {Distribution::kAntiCorrelated, 4, true, true},
+  };
+  auto env = NewMemEnv();
+  int table_id = 0;
+  for (const Case& c : cases) {
+    for (uint64_t seed : {11u, 12u, 13u}) {
+      GeneratorOptions gen;
+      gen.num_rows = 1500;
+      gen.num_attributes = c.dims;
+      gen.distribution = c.distribution;
+      gen.small_domain = c.small_domain;
+      gen.payload_bytes = 8;
+      gen.seed = seed;
+      if (c.mixed_types) {
+        for (int i = 0; i < c.dims; ++i) {
+          gen.attribute_types.push_back(i % 3 == 0   ? ColumnType::kInt32
+                                        : i % 3 == 1 ? ColumnType::kInt64
+                                                     : ColumnType::kFloat64);
+        }
+      }
+      ASSERT_OK_AND_ASSIGN(
+          Table t, GenerateTable(env.get(), "s" + std::to_string(table_id++),
+                                 gen));
+      std::vector<Criterion> criteria;
+      for (int i = 0; i < c.dims; ++i) {
+        criteria.push_back({"a" + std::to_string(i),
+                            i % 2 == 0 ? Directive::kMax : Directive::kMin});
+      }
+      ASSERT_OK_AND_ASSIGN(SkylineSpec spec,
+                           SkylineSpec::Make(t.schema(), criteria));
+      const size_t width = t.schema().row_width();
+      std::vector<char> rows = ReadAll(t);
+      // Exact duplicates: copies of random rows and of the first rows, so
+      // some skyline members appear more than once.
+      Random rng(seed);
+      const uint64_t base = t.row_count();
+      for (uint64_t k = 0; k < 300; ++k) {
+        const uint64_t src = k < 20 ? k : rng.Uniform(base);
+        rows.insert(rows.end(), rows.begin() + src * width,
+                    rows.begin() + (src + 1) * width);
+      }
+      if (c.mixed_types) {
+        // NaN and -0.0 in the float64 column rank through the total order.
+        const size_t off = t.schema().offset(2);
+        const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                                   -std::numeric_limits<double>::quiet_NaN(),
+                                   -0.0, 0.0,
+                                   std::numeric_limits<double>::infinity()};
+        for (size_t k = 0; k < 40; ++k) {
+          std::memcpy(rows.data() + (100 + 7 * k) * width + off,
+                      &specials[k % 5], sizeof(double));
+        }
+      }
+      const uint64_t n = rows.size() / width;
+      const uint64_t oracle = AllPairsSkylineCount(spec, rows.data(), n);
+      EXPECT_EQ(SampleSkylineCount(spec, rows.data(), n), oracle)
+          << "case dims=" << c.dims << " seed=" << seed;
+      EXPECT_GT(oracle, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+
+#include "common/random.h"
 
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -142,6 +145,49 @@ TEST_P(EnvTest, LargeWrite) {
   ASSERT_OK(env_->DeleteFile(Path("i")));
 }
 
+TEST_P(EnvTest, ManySmallAppendsReadBackThroughAnyReadPattern) {
+  // Appends of odd sizes straddle every write-behind extent boundary.
+  std::string data;
+  Random rng(73);
+  std::unique_ptr<WritableFile> w;
+  ASSERT_OK(env_->NewWritableFile(Path("j"), &w));
+  while (data.size() < 300 * 1024) {
+    std::string piece(1 + rng.Uniform(300), '\0');
+    for (char& c : piece) c = static_cast<char>(rng.Uniform(256));
+    ASSERT_OK(w->Append(piece.data(), piece.size()));
+    data += piece;
+  }
+  EXPECT_EQ(w->Size(), data.size());
+  ASSERT_OK(w->Close());
+
+  std::unique_ptr<RandomAccessFile> r;
+  ASSERT_OK(env_->NewRandomAccessFile(Path("j"), &r));
+  ASSERT_EQ(r->Size(), data.size());
+  r->Hint(RandomAccessFile::AccessPattern::kSequential, 0, 0);
+  // Consecutive page reads, the last one short: the read-ahead path.
+  std::string back(data.size(), '\0');
+  for (size_t off = 0; off < data.size(); off += 4096) {
+    const size_t n = std::min<size_t>(4096, data.size() - off);
+    ASSERT_OK(r->Read(off, n, back.data() + off));
+  }
+  EXPECT_EQ(back, data);
+  // Seeks, each followed by a few consecutive reads.
+  for (int i = 0; i < 200; ++i) {
+    uint64_t off = rng.Uniform(data.size());
+    for (int step = 0; step < 3 && off < data.size(); ++step) {
+      const size_t n = std::min<size_t>(1 + rng.Uniform(5000),
+                                        data.size() - off);
+      std::string got(n, '\0');
+      ASSERT_OK(r->Read(off, n, got.data()));
+      ASSERT_EQ(got, data.substr(off, n)) << "offset " << off;
+      off += n;
+    }
+  }
+  char past[2];
+  EXPECT_TRUE(r->Read(data.size() - 1, 2, past).IsOutOfRange());
+  ASSERT_OK(env_->DeleteFile(Path("j")));
+}
+
 INSTANTIATE_TEST_SUITE_P(MemAndPosix, EnvTest, ::testing::Values(true, false),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "MemEnv" : "PosixEnv";
@@ -168,6 +214,18 @@ TEST(MemEnv, OpenReaderSurvivesDelete) {
   ASSERT_OK(env->DeleteFile("x"));
   char buf[4];
   EXPECT_OK(r->Read(0, 4, buf));
+}
+
+TEST(PosixEnv, WriteErrorSurfacesAtClose) {
+  // /dev/full fails every write with ENOSPC; appends that fit the
+  // write-behind buffer only reach it when Close flushes.
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  std::unique_ptr<WritableFile> w;
+  ASSERT_OK(Env::Posix()->NewWritableFile("/dev/full", &w));
+  ASSERT_OK(w->Append("page", 4));
+  Status closed = w->Close();
+  EXPECT_TRUE(closed.IsIoError()) << closed.ToString();
+  EXPECT_OK(w->Close());
 }
 
 TEST(Env, SingletonsAreStable) {

@@ -6,6 +6,9 @@
 #include <cstdint>
 #include <string>
 
+#include "baselines/divide_conquer.h"
+#include "baselines/less.h"
+#include "baselines/naive.h"
 #include "core/skyline.h"
 #include "env/env.h"
 

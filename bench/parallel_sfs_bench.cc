@@ -11,8 +11,10 @@
 //   SKYLINE_BENCH_SCALE=10   paper-scale table (1M rows)
 //   SKYLINE_BENCH_THREADS=1,2,4,8   thread counts to sweep
 //   SKYLINE_BENCH_REPS=3     repetitions per config (best wall time wins)
-//   SKYLINE_BENCH_SCHEMES=1  add the partition-scheme sweep (simulated
-//                            shards; "partition_schemes" JSON section)
+//   SKYLINE_BENCH_SCHEMES=1  add the partition-scheme sweeps: simulated
+//                            shards ("partition_schemes" JSON section) and
+//                            wall time on this host's cores per
+//                            distribution ("partition_schemes_wall")
 
 #include <algorithm>
 #include <chrono>
@@ -31,6 +33,7 @@
 #include "core/dominance_batch.h"
 #include "core/partition.h"
 #include "core/scoring.h"
+#include "core/sfs.h"
 #include "core/sfs_parallel.h"
 #include "relation/column_store.h"
 #include "sort/external_sort.h"
@@ -62,6 +65,18 @@ int Reps() {
   return 3;
 }
 
+const char* DistributionName(Distribution distribution) {
+  switch (distribution) {
+    case Distribution::kIndependent:
+      return "independent";
+    case Distribution::kCorrelated:
+      return "correlated";
+    case Distribution::kAntiCorrelated:
+      return "anti_correlated";
+  }
+  return "unknown";
+}
+
 struct RunResult {
   size_t threads_requested = 0;
   SkylineRunStats stats;
@@ -90,17 +105,16 @@ int Main(int argc, char** argv) {
     best.threads_requested = threads;
     best.wall_seconds = -1;
     for (int rep = 0; rep < reps; ++rep) {
-      SkylineComputeOptions options;
-      options.sfs.threads = threads;
       auto metrics = std::make_unique<MetricsRegistry>();
       auto trace = std::make_unique<TraceSink>();
       ExecContext ctx;
+      ctx.threads = threads;
       ctx.metrics = metrics.get();
       ctx.trace = trace.get();
       SkylineRunStats stats;
       const auto start = std::chrono::steady_clock::now();
       auto result = ComputeSkyline(SkylineAlgorithm::kSfs, table, spec, ctx,
-                                   "bench_psfs_out", &stats, options);
+                                   "bench_psfs_out", &stats);
       const double wall =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
@@ -153,14 +167,12 @@ int Main(int argc, char** argv) {
     MixedResult best;
     best.kernel_mode = force_row ? "row_fallback" : "columnar";
     for (int rep = 0; rep < reps; ++rep) {
-      SkylineComputeOptions options;
-      options.sfs.threads = mixed_threads;
       ExecContext ctx;
+      ctx.threads = mixed_threads;
       SkylineRunStats stats;
       const auto start = std::chrono::steady_clock::now();
       auto result = ComputeSkyline(SkylineAlgorithm::kSfs, mixed, mixed_spec,
-                                   ctx, "bench_psfs_mixed_out", &stats,
-                                   options);
+                                   ctx, "bench_psfs_mixed_out", &stats);
       const double wall =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
@@ -289,6 +301,17 @@ int Main(int argc, char** argv) {
     bool byte_identical = true;
   };
   std::vector<SchemeResult> scheme_results;
+  struct WallSchemeResult {
+    const char* distribution = "";
+    const char* scheme = "";
+    const char* merge_mode = "";
+    size_t representatives = 0;
+    SkylineRunStats stats;
+    double presort_seconds = 0;
+    double filter_seconds = 0;
+  };
+  std::vector<WallSchemeResult> wall_results;
+  size_t wall_threads = 0;
   constexpr size_t kSimulatedShards = 8;
   const bool run_schemes = std::getenv("SKYLINE_BENCH_SCHEMES") != nullptr;
   if (run_schemes) {
@@ -361,6 +384,83 @@ int Main(int argc, char** argv) {
                         : 0.0)
                 << "x)\n";
       scheme_results.push_back(std::move(r));
+    }
+
+    // Real cores: what ComputeSkyline runs at threads = hardware — the
+    // entropy presort, then the block-parallel filter with its production
+    // block floor — once per scheme, merge mode and representative count,
+    // for each distribution. The presort is shared by every configuration
+    // of a distribution, so it is timed once; the filter is best-of-reps.
+    ExecContext wall_ctx;
+    wall_ctx.threads = 0;
+    wall_threads = wall_ctx.WorkerThreads();
+    for (Distribution dist :
+         {Distribution::kAntiCorrelated, Distribution::kIndependent,
+          Distribution::kCorrelated}) {
+      const Table& wall_table = DistributionTableDims(dist, kDims);
+      const SkylineSpec wall_spec = MaxSpec(wall_table, kDims);
+      SfsOptions presort;  // Presort::kEntropy
+      SkylineRunStats presort_stats;
+      auto wall_sorted_or = SfsPresort(wall_table, wall_spec, presort,
+                                       wall_ctx, &temp_files, &presort_stats);
+      SKYLINE_CHECK(wall_sorted_or.ok()) << wall_sorted_or.status().ToString();
+      const std::string wall_sorted = std::move(wall_sorted_or).value();
+      std::vector<char> reference;
+      for (PartitionSchemeKind kind :
+           {PartitionSchemeKind::kStride, PartitionSchemeKind::kGrid,
+            PartitionSchemeKind::kAngular}) {
+        for (const auto& [mode, rep_count] :
+             {std::pair{ParallelMergeMode::kFilteredCascade, size_t{16}},
+              std::pair{ParallelMergeMode::kFilteredCascade, size_t{0}},
+              std::pair{ParallelMergeMode::kAllPairs, size_t{0}}}) {
+          WallSchemeResult r;
+          r.distribution = DistributionName(dist);
+          r.scheme = PartitionSchemeName(kind);
+          r.merge_mode = mode == ParallelMergeMode::kAllPairs
+                             ? "all_pairs"
+                             : "filtered_cascade";
+          r.representatives = rep_count;
+          r.presort_seconds = presort_stats.sort_seconds;
+          r.filter_seconds = -1;
+          for (int rep = 0; rep < reps; ++rep) {
+            ParallelSfsOptions popt;
+            popt.threads = wall_threads;
+            popt.partition = kind;
+            popt.merge_mode = mode;
+            popt.representatives = rep_count;
+            std::vector<char> rows;
+            SkylineRunStats stats;
+            const auto start = std::chrono::steady_clock::now();
+            const Status st = ParallelSfsFilter(
+                env, wall_sorted, wall_spec, popt,
+                [&](const char* row) {
+                  rows.insert(rows.end(), row, row + width);
+                  return Status::OK();
+                },
+                &stats);
+            const double wall =
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+            SKYLINE_CHECK(st.ok()) << st.ToString();
+            if (reference.empty()) reference = rows;
+            SKYLINE_CHECK(rows == reference)
+                << r.scheme << "/" << r.merge_mode << " diverged on "
+                << r.distribution;
+            if (r.filter_seconds < 0 || wall < r.filter_seconds) {
+              r.filter_seconds = wall;
+              r.stats = stats;
+            }
+          }
+          std::cerr << "wall " << r.distribution << " scheme=" << r.scheme
+                    << " merge=" << r.merge_mode
+                    << " reps=" << r.representatives
+                    << " presort=" << r.presort_seconds
+                    << "s filter=" << r.filter_seconds << "s\n";
+          wall_results.push_back(std::move(r));
+        }
+      }
+      temp_files.Delete(wall_sorted);
     }
   }
 
@@ -540,6 +640,37 @@ int Main(int argc, char** argv) {
                       static_cast<double>(all_pairs_merge) /
                           static_cast<double>(s.merge_comparisons));
       }
+      json.EndObject();
+    }
+    json.EndArray();
+    json.EndObject();
+    json.Key("partition_schemes_wall");
+    json.BeginObject();
+    json.KeyValue("threads", static_cast<uint64_t>(wall_threads));
+    json.KeyValue("presort", "entropy");
+    json.KeyValue("note",
+                  "real workers (threads = hardware); wall_seconds = "
+                  "presort (shared per distribution) + best-of-reps filter");
+    json.Key("runs");
+    json.BeginArray();
+    for (const WallSchemeResult& r : wall_results) {
+      const SkylineRunStats& s = r.stats;
+      json.BeginObject();
+      json.KeyValue("distribution", r.distribution);
+      json.KeyValue("scheme", r.scheme);
+      json.KeyValue("merge_mode", r.merge_mode);
+      json.KeyValue("representatives", static_cast<uint64_t>(r.representatives));
+      json.KeyValue("threads_used", s.threads_used);
+      json.KeyValue("presort_seconds", r.presort_seconds);
+      json.KeyValue("filter_seconds", r.filter_seconds);
+      json.KeyValue("wall_seconds", r.presort_seconds + r.filter_seconds);
+      json.KeyValue("block_scan_seconds", s.block_scan_seconds);
+      json.KeyValue("block_merge_seconds", s.block_merge_seconds);
+      json.KeyValue("window_comparisons", s.window_comparisons);
+      json.KeyValue("merge_comparisons", s.merge_comparisons);
+      json.KeyValue("merge_candidates", s.merge_candidates);
+      json.KeyValue("representative_prunes", s.representative_prunes);
+      json.KeyValue("output_rows", s.output_rows);
       json.EndObject();
     }
     json.EndArray();

@@ -8,6 +8,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "baselines/divide_conquer.h"
+#include "baselines/less.h"
+#include "baselines/naive.h"
 #include "common/stopwatch.h"
 #include "core/skyline.h"
 

@@ -3,9 +3,10 @@
 # machine-readable BENCH_sfs.json at the repository root.
 #
 # Usage: scripts/run_bench.sh [--schemes] [--index] [build-dir]
-#   --schemes                   add the partition-scheme sweep (simulated
-#                               shards; emits the "partition_schemes"
-#                               section into BENCH_sfs.json)
+#   --schemes                   add the partition-scheme sweeps: simulated
+#                               shards ("partition_schemes") and wall time
+#                               at threads = hardware per distribution
+#                               ("partition_schemes_wall")
 #   --index                     add the z-order index sweep (correlated
 #                               table, sidecar build time, BBS vs SFS with
 #                               index_blocks_skipped; "index" JSON section)

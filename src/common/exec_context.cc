@@ -4,8 +4,8 @@
 
 namespace skyline {
 
-size_t ExecContext::ResolveThreads(size_t option_threads) const {
-  return ClampThreadsToHardware(RequestedThreads(option_threads));
+size_t ExecContext::WorkerThreads() const {
+  return ClampThreadsToHardware(threads);
 }
 
 }  // namespace skyline

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <optional>
 #include <string>
 
 #include "common/metrics.h"
@@ -14,30 +13,24 @@ namespace skyline {
 
 /// Per-execution environment every algorithm entry point accepts: the one
 /// place a server configures worker threads, temp-file placement,
-/// telemetry sinks, and cancellation — superseding the thread knobs that
-/// used to be duplicated across SfsOptions / SortOptions / SqlOptions.
+/// telemetry sinks, and cancellation.
 ///
 /// The default-constructed context is the zero-overhead configuration:
-/// no metrics, no tracing, no cancellation hook, threads deferred to the
-/// per-call options. Sinks are borrowed and must outlive every operation
-/// run under the context.
+/// one thread, no metrics, no tracing, no cancellation hook. Sinks are
+/// borrowed and must outlive every operation run under the context.
 ///
-/// Thread-knob resolution (pinned by exec_context_test):
-///  - `ExecContext::threads` unset (nullopt) defers to the per-call
-///    option's own field (the deprecated `SfsOptions::threads` etc.);
-///    set, it overrides that field.
-///  - At either level the *value* 0 means "one worker per hardware
-///    thread"; any other value is taken literally.
-///  - The result is always clamped to the hardware concurrency
-///    (oversubscription is a strict loss for the block-parallel filter).
-///  - User-facing thread selection lives in Session::Options::threads
-///    (sql/engine.h), which resolves into this struct's optional in
-///    exactly one place (Session::BuildSqlOptions); nothing else
-///    translates thread knobs.
+/// Threads (pinned by exec_context_test): `threads` is the only thread
+/// knob. The presort, the SFS filter, the 2-d/3-d scans and the skyline
+/// operator all read it, through WorkerThreads(). 1 (the default) is the
+/// sequential algorithm; 0 means one worker per hardware thread; any
+/// other value is taken literally, then clamped to the hardware
+/// (oversubscription is a strict loss for the block-parallel filter). A
+/// SQL session copies its Session::Options::threads (sql/engine.h) into
+/// its context once, at construction.
 struct ExecContext {
-  /// Worker threads for every phase run under this context. nullopt =
-  /// defer to the per-call options; 0 = one per hardware thread.
-  std::optional<size_t> threads;
+  /// Worker threads for every phase run under this context: 1 =
+  /// sequential, 0 = one per hardware thread.
+  size_t threads = 1;
 
   /// Temp-file namespace for intermediates. Empty = derive from the
   /// operation's output path (the legacy behavior).
@@ -55,17 +48,9 @@ struct ExecContext {
   /// phases poll it from pool workers.
   std::function<bool()> cancelled;
 
-  /// Resolves the worker count for an operation whose (deprecated) options
-  /// field carries `option_threads`: context override first, then the
-  /// option; 0 = hardware; clamped to hardware.
-  size_t ResolveThreads(size_t option_threads) const;
-
-  /// The unclamped request ResolveThreads would clamp — what should be
-  /// forwarded into nested options fields that re-resolve later (keeps a
-  /// literal `1` meaning "sequential" rather than clamping artifacts).
-  size_t RequestedThreads(size_t option_threads) const {
-    return threads.has_value() ? *threads : option_threads;
-  }
+  /// The worker count every phase runs with: `threads` (0 = hardware),
+  /// clamped to the hardware concurrency.
+  size_t WorkerThreads() const;
 
   /// `temp_prefix` if set, else `fallback`.
   const std::string& TempPrefixOr(const std::string& fallback) const {

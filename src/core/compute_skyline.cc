@@ -139,19 +139,14 @@ Result<Table> ComputeSkyline(SkylineAlgorithm algorithm, const Table& input,
         break;
       case SkylineAlgorithm::kAuto:
         if (SkylineAutoUsesSpecialScan(spec)) {
-          // The scans accept plain SortOptions; resolve the context's
-          // thread override into them the same way SFS does.
-          SortOptions sort_options = options.sfs.sort_options;
-          const size_t requested = ctx.RequestedThreads(options.sfs.threads);
-          if (requested != 1 && sort_options.threads == 1) {
-            sort_options.threads = ClampThreadsToHardware(requested);
-          }
           published_as = spec.value_columns().size() == 2 ? "special2d"
                                                           : "special3d";
           result = spec.value_columns().size() == 2
-                       ? ComputeSkyline2D(*effective, spec, sort_options, ctx,
+                       ? ComputeSkyline2D(*effective, spec,
+                                          options.sfs.sort_options, ctx,
                                           output_path, s)
-                       : ComputeSkyline3D(*effective, spec, sort_options, ctx,
+                       : ComputeSkyline3D(*effective, spec,
+                                          options.sfs.sort_options, ctx,
                                           output_path, s);
           break;
         }

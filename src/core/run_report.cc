@@ -342,6 +342,8 @@ void PublishRunStats(MetricsRegistry* metrics, std::string_view prefix,
   counter("sort_key_pages", stats.sort_stats.key_io.TotalPages());
   metrics->GetGauge(p + ".threads_used")
       .Set(static_cast<int64_t>(stats.threads_used));
+  metrics->GetGauge(p + ".sort_threads_used")
+      .Set(static_cast<int64_t>(stats.sort_stats.threads_used));
   metrics->GetHistogram(p + ".sort_seconds")
       .ObserveSeconds(stats.sort_seconds);
   metrics->GetHistogram(p + ".filter_seconds")

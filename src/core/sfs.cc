@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <string_view>
-
 #include <limits>
+#include <string_view>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -306,6 +305,44 @@ bool SfsIterator::StartNextPass() {
   return true;
 }
 
+Result<std::string> SfsPresort(const Table& input, const SkylineSpec& spec,
+                               const SfsOptions& options,
+                               const ExecContext& ctx,
+                               TempFileManager* temp_files,
+                               SkylineRunStats* stats) {
+  std::unique_ptr<RowOrdering> owned_ordering;
+  const RowOrdering* ordering = nullptr;
+  switch (options.presort) {
+    case Presort::kNone:
+      return input.path();
+    case Presort::kNested:
+      owned_ordering = MakeNestedSkylineOrdering(spec);
+      ordering = owned_ordering.get();
+      break;
+    case Presort::kEntropy:
+      owned_ordering = std::make_unique<EntropyOrdering>(&spec, input);
+      ordering = owned_ordering.get();
+      break;
+    case Presort::kCustom:
+      if (options.custom_ordering == nullptr) {
+        return Status::InvalidArgument(
+            "Presort::kCustom requires SfsOptions::custom_ordering");
+      }
+      ordering = options.custom_ordering;
+      break;
+  }
+  Stopwatch sort_timer;
+  TraceSpan presort_span(ctx.trace, "presort");
+  SKYLINE_ASSIGN_OR_RETURN(
+      std::string sorted_path,
+      SortHeapFile(input.env(), temp_files, input.path(),
+                   spec.schema().row_width(), *ordering, options.sort_options,
+                   ctx, &stats->sort_stats));
+  presort_span.End();
+  stats->sort_seconds = sort_timer.ElapsedSeconds();
+  return sorted_path;
+}
+
 Result<Table> ComputeSkylineSfs(const Table& input, const SkylineSpec& spec,
                                 const SfsOptions& options,
                                 const ExecContext& ctx,
@@ -321,74 +358,27 @@ Result<Table> ComputeSkylineSfs(const Table& input, const SkylineSpec& spec,
 
   Env* env = input.env();
   TempFileManager temp_files(env, ctx.TempPrefixOr(output_path + ".sfs_tmp"));
-
-  // Phase 1: presort by a monotone scoring order (Theorems 6/7 guarantee
-  // any such order is a topological sort of dominance).
-  std::string sorted_path = input.path();
-  if (options.presort != Presort::kNone) {
-    std::unique_ptr<RowOrdering> owned_ordering;
-    const RowOrdering* ordering = nullptr;
-    switch (options.presort) {
-      case Presort::kNested:
-        owned_ordering = MakeNestedSkylineOrdering(spec);
-        ordering = owned_ordering.get();
-        break;
-      case Presort::kEntropy:
-        owned_ordering = std::make_unique<EntropyOrdering>(&spec, input);
-        ordering = owned_ordering.get();
-        break;
-      case Presort::kCustom:
-        if (options.custom_ordering == nullptr) {
-          return Status::InvalidArgument(
-              "Presort::kCustom requires SfsOptions::custom_ordering");
-        }
-        ordering = options.custom_ordering;
-        break;
-      case Presort::kNone:
-        break;
-    }
-    SortOptions sort_options = options.sort_options;
-    const size_t requested = ctx.RequestedThreads(options.threads);
-    if (ctx.threads.has_value()) {
-      // The context override drives every phase under it.
-      sort_options.threads = ctx.ResolveThreads(sort_options.threads);
-    } else if (requested != 1 && sort_options.threads == 1) {
-      // One knob drives both phases — clamped, so a request for more
-      // workers than the machine has never oversubscribes the sort either.
-      sort_options.threads = ClampThreadsToHardware(requested);
-    }
-    Stopwatch sort_timer;
-    TraceSpan presort_span(ctx.trace, "presort");
-    SKYLINE_ASSIGN_OR_RETURN(
-        sorted_path,
-        SortHeapFile(env, &temp_files, input.path(), spec.schema().row_width(),
-                     *ordering, sort_options, ctx, &s->sort_stats));
-    presort_span.End();
-    s->sort_seconds = sort_timer.ElapsedSeconds();
-  }
+  SKYLINE_ASSIGN_OR_RETURN(
+      const std::string sorted_path,
+      SfsPresort(input, spec, options, ctx, &temp_files, s));
   SKYLINE_RETURN_IF_ERROR(ctx.CheckCancelled());
 
   // Phase 2: filter passes, pipelining confirmed skyline rows straight into
-  // the output table. With more than one usable worker (requests are
-  // clamped to the hardware: every extra block re-filters its sample and
-  // inflates the merge, so oversubscription is a strict loss — a 1-core
-  // host ran threads=2 1.6× slower than sequential) and no residue
-  // side-output, the block-parallel filter replaces the sequential
-  // iterator; a clamp of 1 falls back to the sequential algorithm.
-  const size_t filter_threads = ctx.ResolveThreads(options.threads);
+  // the output table. With more than one usable worker (the context clamps
+  // to the hardware: every extra block re-filters its sample and inflates
+  // the merge, so oversubscription is a strict loss — a 1-core host ran
+  // threads=2 1.6× slower than sequential) and no residue side-output, the
+  // block-parallel filter replaces the sequential iterator.
+  const size_t filter_threads = ctx.WorkerThreads();
   // The pre-clamp request (0 resolved to "all hardware"): threads_used
   // falling short of it is the degraded-parallelism honesty signal.
-  const size_t threads_requested =
-      ResolveThreadCount(ctx.RequestedThreads(options.threads));
+  const size_t threads_requested = ResolveThreadCount(ctx.threads);
   if (filter_threads > 1 && options.residue_path.empty()) {
     Stopwatch filter_timer;
     ParallelSfsOptions popt;
     popt.window_pages = options.window_pages;
     popt.use_projection = options.use_projection;
     popt.threads = filter_threads;
-    popt.partition = options.partition;
-    popt.merge_mode = options.merge;
-    popt.representatives = options.merge_representatives;
     popt.exec = &ctx;
     TableBuilder builder(env, output_path, spec.schema());
     SKYLINE_RETURN_IF_ERROR(builder.Open());

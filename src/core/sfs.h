@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "common/trace.h"
 #include "core/run_stats.h"
-#include "core/sfs_parallel.h"
 #include "core/skyline_spec.h"
 #include "core/window.h"
 #include "core/zone_prefilter.h"
@@ -47,34 +46,13 @@ struct SfsOptions {
   /// elimination (the w/P optimization).
   bool use_projection = true;
   Presort presort = Presort::kEntropy;
-  /// Worker threads for the whole computation. 1 (the default) is the
-  /// classic sequential algorithm. >1 enables the block-parallel filter
-  /// (core/sfs_parallel.h) with that many workers and, unless
-  /// sort_options.threads was set explicitly, the parallel presort;
-  /// 0 means one worker per hardware thread. The parallel filter emits the
-  /// same rows in the same order as sequential SFS (byte-identical when
-  /// the sequential filter needs a single pass), but materializes each
-  /// block's candidates in memory and does not support residue_path
-  /// (residue_path forces the sequential filter).
-  size_t threads = 1;
-  /// Partition scheme for the block-parallel filter (threads > 1): how
-  /// rows of the presorted stream are dealt to the workers (stride / grid
-  /// / angular; see core/partition.h). The skyline is byte-identical
-  /// across schemes; the choice only moves work between the local filters
-  /// and the merge. SQL sessions reach this through SqlOptions::sfs.
-  PartitionSchemeKind partition = PartitionSchemeKind::kStride;
-  /// How the block-parallel filter merges local skylines: the filtered
-  /// cascade (default) or the measured all-pairs baseline.
-  ParallelMergeMode merge = ParallelMergeMode::kFilteredCascade;
-  /// Representatives each partition broadcasts for the cascade's
-  /// cross-partition pre-prune; 0 disables the pre-prune.
-  size_t merge_representatives = 16;
   /// Buffer pages for the presort (the paper grants the sort 1,000 pages,
   /// separate from the filter window allocation).
   SortOptions sort_options;
   /// If non-empty, every eliminated (dominated) tuple is also written to a
   /// heap file at this path — the complement of the skyline, used by the
   /// iterative strata labeller. The residue is in no particular order.
+  /// A residue forces the sequential filter whatever the worker count.
   std::string residue_path;
   /// The preference ordering used when presort == Presort::kCustom. Must
   /// outlive the call and be monotone w.r.t. dominance (any order induced
@@ -215,14 +193,30 @@ class SfsIterator {
   Status status_;
 };
 
+/// SFS phase 1, the one presort every SFS caller runs (ComputeSkylineSfs,
+/// the pipelined SkylineOperator, multi-window strata): sorts `input` by
+/// the monotone order `options.presort` selects (Theorems 6/7 make any
+/// such order a topological sort of dominance) into a temp heap file owned
+/// by `temp_files`, and returns its path. Presort::kNone returns
+/// `input.path()` untouched. The sorter runs with ctx.WorkerThreads()
+/// workers inside a "presort" span; the sort's cost lands in
+/// stats->sort_stats and stats->sort_seconds.
+Result<std::string> SfsPresort(const Table& input, const SkylineSpec& spec,
+                               const SfsOptions& options,
+                               const ExecContext& ctx,
+                               TempFileManager* temp_files,
+                               SkylineRunStats* stats);
+
 /// Computes the skyline of `input` under `spec` with SFS, writing the
 /// result (full rows, in the presort's monotone order) to a new table at
 /// `output_path`. `stats` may be null.
 ///
-/// The context supplies the thread override (ctx.threads beats
-/// options.threads; see ExecContext's resolution contract), the temp-file
-/// prefix, the trace sink (spans: "presort" wrapping the external sort's
-/// "run-formation"/"merge-N", then "filter-pass-N" or
+/// The context supplies the worker count (ctx.WorkerThreads() drives the
+/// presort and, above 1 and without a residue_path, the block-parallel
+/// filter of core/sfs_parallel.h, which emits the same rows in the same
+/// order as the sequential filter whenever that needs a single pass), the
+/// temp-file prefix, the trace sink (spans: "presort" wrapping the
+/// external sort's "run-formation"/"merge-N", then "filter-pass-N" or
 /// "block-scan"/"block-merge"), the metrics sink, and cancellation.
 Result<Table> ComputeSkylineSfs(const Table& input, const SkylineSpec& spec,
                                 const SfsOptions& options,

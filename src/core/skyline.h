@@ -10,14 +10,18 @@
 ///  - ComputeSkylineBnl — the block-nested-loops baseline
 ///  - ComputeStrataSfs / LabelStrataIterative — skyline strata
 ///  - DimensionalReduction — small-domain pre-reduction
-///  - NaiveSkyline* / DivideConquerSkyline* — reference algorithms
 ///  - ExpectedSkylineSize / ExtrapolateSkylineSize / EstimateSfsCost —
 ///    cardinality estimation and optimizer costing
 ///
-/// Section 6 extensions: ComputeSkylineLess (sort-phase elimination),
-/// ComputeSkyline2D / ComputeSkyline3D (special-case scans), ComputeWinnow
-/// (arbitrary strict-partial-order preferences), SkylineMaintainer
-/// (incremental updates), RankEntropyOrdering (histogram-rank presort).
+/// Section 6 extensions: ComputeSkyline2D / ComputeSkyline3D (special-case
+/// scans), ComputeWinnow (arbitrary strict-partial-order preferences),
+/// SkylineMaintainer (incremental updates), RankEntropyOrdering
+/// (histogram-rank presort).
+///
+/// The reference algorithms no query route reaches — NaiveSkyline*,
+/// DivideConquerSkyline* and ComputeSkylineLess (sort-phase elimination)
+/// — live in the separate `skyline_baselines` library (baselines/), which
+/// only tests, benchmarks and examples link.
 ///
 /// Substrate: Env (env/env.h), heap files (storage/), tables, generators,
 /// CSV and sidecar-metadata I/O, histograms (relation/), external sort
@@ -30,11 +34,8 @@
 #include "core/compute_skyline.h"
 #include "core/cost_model.h"
 #include "core/dim_reduce.h"
-#include "core/divide_conquer.h"
 #include "core/dominance.h"
-#include "core/less.h"
 #include "core/maintenance.h"
-#include "core/naive.h"
 #include "core/run_report.h"
 #include "core/run_stats.h"
 #include "core/scoring.h"

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "core/scoring.h"
 #include "core/window.h"
 #include "storage/heap_file.h"
 #include "storage/temp_file_manager.h"
@@ -47,23 +46,15 @@ Result<std::vector<Table>> ComputeStrataSfs(const Table& input,
                              ctx.TempPrefixOr(output_prefix + ".strata_tmp"));
 
   // Presort exactly as SFS does.
-  std::string sorted_path = input.path();
-  if (options.presort != Presort::kNone) {
-    std::unique_ptr<RowOrdering> ordering;
-    if (options.presort == Presort::kNested) {
-      ordering = MakeNestedSkylineOrdering(spec);
-    } else {
-      ordering = std::make_unique<EntropyOrdering>(&spec, input);
-    }
-    Stopwatch sort_timer;
-    TraceSpan presort_span(ctx.trace, "presort");
-    SKYLINE_ASSIGN_OR_RETURN(
-        sorted_path,
-        SortHeapFile(env, &temp_files, input.path(), spec.schema().row_width(),
-                     *ordering, options.sort_options, ctx, &s->sort_stats));
-    presort_span.End();
-    s->sort_seconds = sort_timer.ElapsedSeconds();
-  }
+  SfsOptions presort;
+  presort.presort = options.presort;
+  presort.sort_options = options.sort_options;
+  SkylineRunStats presort_stats;
+  SKYLINE_ASSIGN_OR_RETURN(
+      const std::string sorted_path,
+      SfsPresort(input, spec, presort, ctx, &temp_files, &presort_stats));
+  s->sort_stats = presort_stats.sort_stats;
+  s->sort_seconds = presort_stats.sort_seconds;
 
   // One window and one output per stratum. In monotone input order a
   // tuple's stratum equals the first window level that does not dominate

@@ -22,6 +22,8 @@ struct StrataOptions {
   /// Buffer pages for each of the `num_strata` windows.
   size_t window_pages = 500;
   bool use_projection = true;
+  /// The SFS presort (SfsPresort); kCustom is rejected, since no
+  /// preference ordering can be supplied here.
   Presort presort = Presort::kEntropy;
   SortOptions sort_options;
 };

@@ -40,7 +40,7 @@ class Query {
   Query(Query&&) = default;
 
   /// Attaches an execution context (must outlive execution). The context's
-  /// thread override, telemetry sinks, and cancellation hook apply to every
+  /// worker count, telemetry sinks, and cancellation hook apply to every
   /// context-aware step (SkylineOf, OrderBy) regardless of call order.
   Query& WithContext(const ExecContext* ctx);
 

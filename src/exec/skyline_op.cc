@@ -4,12 +4,9 @@
 #include <string_view>
 #include <utility>
 
-#include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/bbs.h"
 #include "core/compute_skyline.h"
 #include "core/run_report.h"
-#include "core/scoring.h"
 #include "exec/scan.h"
 
 namespace skyline {
@@ -85,8 +82,7 @@ Status SkylineOperator::OpenImpl() {
         SkylineAutoUsesSpecialScan(spec_)) &&
       !(algorithm_ == SkylineAlgorithm::kAuto && BbsCandidate(*input, spec_)) &&
       constraint_.empty() &&
-      (ctx.ResolveThreads(sfs_options_.threads) <= 1 ||
-       !sfs_options_.residue_path.empty());
+      (ctx.WorkerThreads() <= 1 || !sfs_options_.residue_path.empty());
   if (!pipelined_sfs) {
     const std::string out = temp_files_.Allocate("skyline_result");
     SkylineComputeOptions compute_options;
@@ -103,37 +99,9 @@ Status SkylineOperator::OpenImpl() {
 
   // Sequential SFS: presort now (blocking), then stream the filter so rows
   // pipeline out as they are confirmed.
-  std::string sorted_path = input->path();
-  if (sfs_options_.presort != Presort::kNone) {
-    std::unique_ptr<RowOrdering> owned;
-    const RowOrdering* ordering = sfs_options_.custom_ordering;
-    if (sfs_options_.presort == Presort::kNested) {
-      owned = MakeNestedSkylineOrdering(spec_);
-      ordering = owned.get();
-    } else if (sfs_options_.presort == Presort::kEntropy) {
-      owned = std::make_unique<EntropyOrdering>(&spec_, *input);
-      ordering = owned.get();
-    } else if (ordering == nullptr) {
-      return Status::InvalidArgument(
-          "Presort::kCustom requires SfsOptions::custom_ordering");
-    }
-    SortOptions sort_options = sfs_options_.sort_options;
-    const size_t requested = ctx.RequestedThreads(sfs_options_.threads);
-    if (ctx.threads.has_value()) {
-      sort_options.threads = ctx.ResolveThreads(sort_options.threads);
-    } else if (requested != 1 && sort_options.threads == 1) {
-      sort_options.threads = requested;
-    }
-    Stopwatch sort_timer;
-    TraceSpan presort_span(ctx.trace, "presort");
-    SKYLINE_ASSIGN_OR_RETURN(
-        sorted_path,
-        SortHeapFile(env_, &temp_files_, input->path(),
-                     spec_.schema().row_width(), *ordering, sort_options, ctx,
-                     &stats_.sort_stats));
-    presort_span.End();
-    stats_.sort_seconds = sort_timer.ElapsedSeconds();
-  }
+  SKYLINE_ASSIGN_OR_RETURN(
+      const std::string sorted_path,
+      SfsPresort(*input, spec_, sfs_options_, ctx, &temp_files_, &stats_));
   stats_.access_path = "sfs";
   sfs_ = std::make_unique<SfsIterator>(
       env_, &temp_files_, sorted_path, &spec_, sfs_options_.window_pages,

@@ -39,8 +39,8 @@ class SkylineOperator : public Operator {
       SkylineConstraint constraint = {});
 
   /// Attaches an execution context (must outlive the operator; set before
-  /// Open). Supplies the thread override, telemetry sinks, and
-  /// cancellation for the skyline computation.
+  /// Open). Supplies the worker count, telemetry sinks, and cancellation
+  /// for the skyline computation.
   void set_exec_context(const ExecContext* ctx) { exec_ = ctx; }
 
   const Status& status() const override { return status_; }

@@ -24,7 +24,7 @@ class SortOperator : public Operator {
                SortOptions options = SortOptions{});
 
   /// Attaches an execution context (must outlive the operator; set before
-  /// Open): thread override, trace spans, and cancellation for the sort.
+  /// Open): worker count, trace spans, and cancellation for the sort.
   void set_exec_context(const ExecContext* ctx) { exec_ = ctx; }
 
   const Status& status() const override { return status_; }

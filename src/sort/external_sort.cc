@@ -251,12 +251,7 @@ ExternalSorter::ExternalSorter(Env* env, TempFileManager* temp_files,
 Result<std::string> ExternalSorter::Sort(const std::string& input_path) {
   *stats_ = SortStats{};
   SKYLINE_RETURN_IF_ERROR(ctx_->CheckCancelled());
-  // An explicit context override takes the clamped resolution; otherwise
-  // the options field keeps its historical literal semantics (callers like
-  // SFS clamp before setting it).
-  const size_t threads = ctx_->threads.has_value()
-                             ? ctx_->ResolveThreads(options_.threads)
-                             : ResolveThreadCount(options_.threads);
+  const size_t threads = ctx_->WorkerThreads();
   stats_->threads_used = threads;
   if (threads > 1 && pool_ == nullptr) {
     pool_ = std::make_unique<ThreadPool>(threads);

@@ -23,13 +23,6 @@ struct SortOptions {
   /// and the merge fan-in. The paper's experiments give the sort a
   /// 1,000-page allocation.
   size_t buffer_pages = 1000;
-  /// Worker threads for run formation and merging. 1 (the default) keeps
-  /// the classic sequential sort; 0 means one per hardware thread. The
-  /// sorted output is byte-identical for every thread count: parallelism
-  /// only changes *when* each run is sorted and each group merged, never
-  /// the run boundaries or merge tree. With T > 1, up to T in-memory runs
-  /// are in flight at once, so peak memory is ~T × buffer_pages pages.
-  size_t threads = 1;
 };
 
 /// Observability counters for one Sort() call.
@@ -64,15 +57,19 @@ struct SortStats {
 /// Compare (given the PrefixKey contract): fully-equal records keep their
 /// input order, and the bytes do not depend on the thread count.
 ///
-/// With SortOptions::threads > 1 the sorter parallelizes on a ThreadPool:
-/// run formation pipelines the (sequential) input scan against concurrent
-/// sort+write of whole runs, merge levels process independent run groups
-/// concurrently, and a single-group (final) merge overlaps its comparison
-/// work with page writes via a double-buffered background appender.
+/// With ExecContext::WorkerThreads() > 1 the sorter parallelizes on a
+/// ThreadPool: run formation pipelines the (sequential) input scan against
+/// concurrent sort+write of whole runs, merge levels process independent
+/// run groups concurrently, and a single-group (final) merge overlaps its
+/// comparison work with page writes via a double-buffered background
+/// appender. Parallelism only changes *when* each run is sorted and each
+/// group merged, never the run boundaries or merge tree. With T workers,
+/// up to T in-memory runs are in flight at once, so peak memory is
+/// ~T × buffer_pages pages.
 class ExternalSorter {
  public:
   /// All pointers must outlive the sorter. `stats_out` may be null. The
-  /// context supplies the thread override, trace sink ("run-formation" and
+  /// context supplies the worker count, trace sink ("run-formation" and
   /// per-level "merge-N" spans), and the cancellation hook polled during
   /// the input scan and each merge.
   ExternalSorter(Env* env, TempFileManager* temp_files,

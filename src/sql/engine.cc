@@ -528,7 +528,9 @@ size_t Engine::cache_size() const {
 // Session
 
 Session::Session(Engine* engine, Options options)
-    : engine_(engine), options_(std::move(options)) {}
+    : engine_(engine), options_(std::move(options)) {
+  exec_.threads = options_.threads;
+}
 
 SqlOptions Session::BuildSqlOptions() const {
   SqlOptions options;
@@ -536,13 +538,6 @@ SqlOptions Session::BuildSqlOptions() const {
   options.sfs = options_.sfs;
   options.temp_prefix = options_.temp_prefix;
   options.exec = exec_;
-  // The single thread-knob resolution point: an explicitly set
-  // exec().threads wins; otherwise a non-zero session knob becomes the
-  // context override (where 1 means sequential); 0 defers to the
-  // algorithm options.
-  if (!options.exec.threads.has_value() && options_.threads != 0) {
-    options.exec.threads = options_.threads;
-  }
   return options;
 }
 

@@ -257,13 +257,11 @@ class Session {
   struct Options {
     SkylineAlgorithm algorithm = SkylineAlgorithm::kSfs;
     SfsOptions sfs;
-    /// The one user-facing thread knob, superseding the deleted
-    /// `SqlOptions::threads`: 0 (default) leaves resolution to the
-    /// algorithm options; any other value becomes the ExecContext override
-    /// for every phase (1 forces sequential). An explicitly set
-    /// `exec().threads` wins over this field — see
-    /// Session resolution notes in DESIGN.md.
-    size_t threads = 0;
+    /// Worker threads for every statement, with ExecContext::threads
+    /// meaning: 1 (default) = sequential, 0 = one per hardware thread.
+    /// Copied into exec() once, at construction; set exec().threads to
+    /// change it afterwards.
+    size_t threads = 1;
     /// Temp-file prefix for pipeline steps.
     std::string temp_prefix = "session";
     /// Serve eligible skyline SELECTs from the engine's result cache.
@@ -292,8 +290,7 @@ class Session {
   const Options& options() const { return options_; }
 
   /// Mutable per-session context: install a cancellation hook, metrics or
-  /// trace sinks. Threads resolution: an explicitly set `exec().threads`
-  /// wins; otherwise a non-zero Options::threads becomes the override.
+  /// trace sinks, or change the worker count Options::threads seeded.
   ExecContext& exec() { return exec_; }
 
   /// Parses and executes one statement, invoking `visitor` per output row
@@ -307,7 +304,7 @@ class Session {
 
  private:
   /// The one SqlOptions assembly point: folds Options + exec() into the
-  /// executor's options struct (including the threads resolution).
+  /// executor's options struct.
   SqlOptions BuildSqlOptions() const;
 
   Status ExecuteSelectStatement(

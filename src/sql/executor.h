@@ -49,11 +49,8 @@ struct SqlOptions {
   /// Temp-file prefix for pipeline steps.
   std::string temp_prefix = "sql_query";
   /// Execution context threaded through every operator the statement
-  /// builds: thread override, metrics/trace sinks, and the cancellation
-  /// hook. This is the *only* thread knob at the SQL layer — the legacy
-  /// `SqlOptions::threads` field is gone; user-facing thread selection
-  /// lives in Session::Options::threads (see sql/engine.h), which resolves
-  /// into `exec.threads` in exactly one place.
+  /// builds: worker count (ExecContext::threads, the only thread knob),
+  /// metrics/trace sinks, and the cancellation hook.
   ExecContext exec;
 };
 

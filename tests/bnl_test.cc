@@ -1,6 +1,6 @@
 #include "core/bnl.h"
 
-#include "core/naive.h"
+#include "baselines/naive.h"
 #include "core/scoring.h"
 #include "gtest/gtest.h"
 #include "test_util.h"

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "core/naive.h"
+#include "baselines/naive.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 

@@ -1,6 +1,6 @@
 #include "core/dim_reduce.h"
 
-#include "core/naive.h"
+#include "baselines/naive.h"
 #include "core/sfs.h"
 #include "gtest/gtest.h"
 #include "test_util.h"

@@ -1,6 +1,6 @@
-#include "core/divide_conquer.h"
+#include "baselines/divide_conquer.h"
 
-#include "core/naive.h"
+#include "baselines/naive.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 

@@ -319,10 +319,11 @@ class ExternalSortContractTest : public ::testing::Test {
         TempFileManager tmp(env_.get(), "contract_tmp");
         SortOptions opts;
         opts.buffer_pages = pages;
-        opts.threads = threads;
+        ExecContext ctx;
+        ctx.threads = threads;
         SortStats stats;
         auto sorted = SortHeapFile(env_.get(), &tmp, table_->path(), width,
-                                   ord, opts, ExecContext(), &stats);
+                                   ord, opts, ctx, &stats);
         ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
         HeapFileReader reader(env_.get(), sorted.value(), width, nullptr);
         ASSERT_OK(reader.Open());

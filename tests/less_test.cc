@@ -1,4 +1,4 @@
-#include "core/less.h"
+#include "baselines/less.h"
 
 #include "core/sfs.h"
 #include "gtest/gtest.h"

@@ -1,4 +1,4 @@
-#include "core/naive.h"
+#include "baselines/naive.h"
 
 #include "gtest/gtest.h"
 #include "test_util.h"

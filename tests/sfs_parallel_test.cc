@@ -165,9 +165,9 @@ TEST_F(SfsParallelTest, TinyWindowMultiPassMatchesSequential) {
             RowMultiset(expected_rows.data(), baseline.row_count(), width));
 }
 
-// End-to-end through the public SfsOptions::threads knob (table large
-// enough that min_block_rows still yields multiple blocks) — output must
-// equal the sequential computation byte for byte, and match the oracle.
+// End-to-end through the ExecContext::threads knob (table large enough
+// that min_block_rows still yields multiple blocks) — output must equal the
+// sequential computation byte for byte, and match the oracle.
 TEST_F(SfsParallelTest, ComputeSkylineSfsThreadsKnob) {
   ASSERT_OK_AND_ASSIGN(Table t,
                        MakeUniformTable(env_.get(), "t", 10'000, 5, 11));
@@ -176,18 +176,18 @@ TEST_F(SfsParallelTest, ComputeSkylineSfsThreadsKnob) {
       Table baseline, ComputeSkylineSfs(t, spec, SfsOptions{}, ExecContext(), "seq", nullptr));
   const std::vector<char> expected = ReadAll(baseline);
 
-  SfsOptions par;
+  ExecContext par;
   par.threads = 4;
   SkylineRunStats stats;
   ASSERT_OK_AND_ASSIGN(Table sky,
-                       ComputeSkylineSfs(t, spec, par, ExecContext(), "par", &stats));
+                       ComputeSkylineSfs(t, spec, SfsOptions{}, par, "par", &stats));
   std::vector<char> got = ReadAll(sky);
   ASSERT_EQ(got.size(), expected.size());
   EXPECT_TRUE(std::memcmp(got.data(), expected.data(), got.size()) == 0);
   // The knob is clamped to the hardware: on a multi-core host the parallel
   // filter runs (10k rows / 4096 min block = 2 blocks) and the knob reaches
   // the sorter; a 1-core host falls back to the sequential filter entirely.
-  const size_t clamped = ClampThreadsToHardware(par.threads);
+  const size_t clamped = par.WorkerThreads();
   if (clamped > 1) {
     EXPECT_EQ(stats.threads_used, 2u);
     EXPECT_GT(stats.sort_stats.threads_used, 1u);

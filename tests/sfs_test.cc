@@ -1,6 +1,6 @@
 #include "core/sfs.h"
 
-#include "core/naive.h"
+#include "baselines/naive.h"
 #include "core/scoring.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -95,7 +95,6 @@ TEST_F(SfsTest, PerPassTraceSpansMatchPassCount) {
   SfsOptions opts;
   opts.window_pages = 1;
   opts.use_projection = false;
-  opts.threads = 1;
   TraceSink trace;
   ExecContext ctx;
   ctx.trace = &trace;

@@ -1,6 +1,6 @@
 #include "core/special3d.h"
 
-#include "core/naive.h"
+#include "baselines/naive.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 

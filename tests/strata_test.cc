@@ -1,7 +1,7 @@
 #include "core/strata.h"
 
+#include "baselines/naive.h"
 #include "core/dominance.h"
-#include "core/naive.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -142,6 +142,19 @@ TEST_F(StrataTest, WindowOverflowReportsResourceExhausted) {
   auto result = ComputeStrataSfs(t, spec, opts, ExecContext(), "out", nullptr);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsResourceExhausted());
+}
+
+TEST_F(StrataTest, CustomPresortIsRejected) {
+  // Strata presort through SfsPresort, and StrataOptions has no preference
+  // ordering to sort by.
+  ASSERT_OK_AND_ASSIGN(Table t, MakeUniformTable(env_.get(), "t", 100, 3, 35));
+  StrataOptions opts;
+  opts.presort = Presort::kCustom;
+  auto result =
+      ComputeStrataSfs(t, MaxSpec(t, 3), opts, ExecContext(), "out", nullptr);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
 }
 
 TEST_F(StrataTest, IterativeLabellerMatchesMultiWindow) {

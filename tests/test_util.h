@@ -7,6 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "baselines/divide_conquer.h"
+#include "baselines/less.h"
+#include "baselines/naive.h"
 #include "common/random.h"
 #include "core/skyline.h"
 #include "env/env.h"

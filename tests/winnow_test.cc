@@ -1,7 +1,7 @@
 #include "core/winnow.h"
 
+#include "baselines/naive.h"
 #include "core/dominance.h"
-#include "core/naive.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
